@@ -2,17 +2,20 @@
 
 The corpus is four logical documents, one per school grade 1-4, each the
 concatenation of that grade's plain-text files as listed in a manifest.
-A manifest is UTF-8 text with one `<grade><TAB><path>` entry per line;
-blank lines and lines starting with '#' are ignored. Relative paths are
-resolved against the manifest's directory.
+A manifest is UTF-8 text, with or without a byte-order mark, holding
+one `<grade><TAB><path>` entry per line; blank lines and lines starting
+with '#' are ignored. Relative paths are resolved against the manifest's
+directory.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     EmptyClassError,
@@ -23,6 +26,30 @@ from .errors import (
 from .tokenizer import TokenSequence, concat, tokenize
 
 GRADES = (1, 2, 3, 4)
+
+
+def smoothed_idf(n: int, df: int) -> float:
+    """IDF of a term held by `df` of `n` documents: ln((1 + n) / (1 + df)) + 1."""
+    return math.log((1 + n) / (1 + df)) + 1.0
+
+
+# smoothed_idf(5, df) by df: a query joins the four grades when classifying
+IDF5 = tuple(smoothed_idf(5, df) for df in range(6))
+
+
+def squared_norm(doc: TokenSequence, df: Mapping[str, int], idf: Sequence[float]) -> float:
+    """Squared norm of `doc`'s TF-IDF vector, with `idf` indexed by df.
+
+    A term's weight is (count / total) * idf[df], so the squared norm
+    sums, per df, idf[df]**2 / total**2 times the squared counts. Those
+    integer sums are exact, so the result does not depend on the order of
+    the counts, and documents holding the same bag of words tie exactly.
+    """
+    squares = [0] * len(idf)
+    for term, count in doc.counts.items():
+        squares[df[term]] += count * count
+    total = len(doc)
+    return math.fsum((weight / total) ** 2 * sq for weight, sq in zip(idf, squares))
 
 
 @dataclass(frozen=True)
@@ -56,15 +83,19 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class ClassDocument:
-    """One grade's concatenated text with its vocabulary."""
+    """One grade's concatenated text."""
 
     grade: int
     tokens: TokenSequence
-    vocabulary: Vocabulary
 
     @classmethod
     def from_tokens(cls, grade: int, seq: TokenSequence) -> "ClassDocument":
-        return cls(grade, seq, Vocabulary.from_tokens(seq))
+        return cls(grade, seq)
+
+    @cached_property
+    def vocabulary(self) -> Vocabulary:
+        """The grade's distinct terms, sorted on first use; scoring never reads it."""
+        return Vocabulary.from_tokens(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -86,10 +117,19 @@ class CorpusManifest:
 @dataclass(frozen=True)
 class GradedCorpus:
     """Immutable index of the four class documents. Treat as read-only;
-    safe to share among concurrent readers."""
+    safe to share among concurrent readers.
+
+    Besides each grade's term counts and token total (`classes[g].tokens`),
+    it holds what scoring needs from the corpus alone: `df4`, the number
+    of grades containing each term, and `norms5`, each grade's squared
+    TF-IDF norm in the collection of the four grades plus a query
+    (N = 5), for a query that shares none of the grade's terms.
+    """
 
     classes: dict[int, ClassDocument]
     stats: CorpusStats
+    df4: Counter[str]
+    norms5: dict[int, float]
 
     @classmethod
     def from_token_sequences(cls, sequences: Mapping[int, TokenSequence]) -> "GradedCorpus":
@@ -102,15 +142,16 @@ class GradedCorpus:
             if not seq:
                 raise EmptyClassError(f"grade {grade} has no tokens")
             classes[grade] = ClassDocument.from_tokens(grade, seq)
-        union: frozenset[str] = frozenset()
+        df4: Counter[str] = Counter()
         for doc in classes.values():
-            union |= doc.tokens.types
+            df4.update(doc.tokens.types)
+        norms5 = {grade: squared_norm(doc.tokens, df4, IDF5) for grade, doc in classes.items()}
         stats = CorpusStats(
             total_tokens={g: len(classes[g].tokens) for g in GRADES},
-            unique_tokens={g: len(classes[g].vocabulary) for g in GRADES},
-            overall_unique=len(union),
+            unique_tokens={g: len(classes[g].tokens.types) for g in GRADES},
+            overall_unique=len(df4),
         )
-        return cls(classes, stats)
+        return cls(classes, stats, df4, norms5)
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
@@ -124,7 +165,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     base = path.parent
     entries: list[tuple[int, Path]] = []
     seen: set[tuple[int, Path]] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -1,14 +1,22 @@
-"""Cosine similarity between weighted vectors and the 4x4 class matrix."""
+"""Cosine similarity between weighted vectors and the 4x4 class matrix.
+
+Pairs are scored sparsely: the dot product runs over the terms both
+documents hold, and each norm over the document's own terms. The zero
+coordinates of the pair-union vocabulary add nothing to a dot product or
+a norm, so the cosine equals the dense one of `cosine`.
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
-from .corpus import GRADES, ClassDocument, GradedCorpus
+from .corpus import GRADES, ClassDocument, GradedCorpus, smoothed_idf, squared_norm
 from .errors import VocabularyMismatchError, ZeroVectorError
 from .tokenizer import TokenSequence
-from .weighting import DocumentCollection, WeightedVector, pair_vocabulary, weighted_vector
+from .weighting import DocumentCollection, WeightedVector
 
 
 @dataclass(frozen=True)
@@ -48,27 +56,51 @@ def cosine(v: WeightedVector, w: WeightedVector) -> float:
     return min(1.0, dot / (math.sqrt(norm_v) * math.sqrt(norm_w)))
 
 
+def _cosine(
+    a: TokenSequence,
+    a_norm: float,
+    b: TokenSequence,
+    b_norm: float,
+    df: Mapping[str, int],
+    idf: Sequence[float],
+) -> PairSimilarity:
+    """Cosine of the TF-IDF vectors of `a` and `b` given their norms, over
+    the terms both hold, with the shared and union term counts."""
+    small, large = (a, b) if len(a.counts) <= len(b.counts) else (b, a)
+    small_total, large_total, large_counts = len(small), len(large), large.counts
+    products = [
+        (count / small_total) * idf[df[term]] * ((large_counts[term] / large_total) * idf[df[term]])
+        for term, count in small.counts.items()
+        if term in large_counts
+    ]
+    # fsum rounds the exact sum once, so no term order can change the score
+    score = min(1.0, math.fsum(products) / (a_norm * b_norm))
+    return PairSimilarity(score, len(products), len(a.counts) + len(b.counts) - len(products))
+
+
 def pair_similarity(
     query: TokenSequence, class_doc: ClassDocument, coll: DocumentCollection
 ) -> PairSimilarity:
     """Score one query against one class over their pair vocabulary."""
-    vocab = pair_vocabulary(query, class_doc.tokens)
-    v = weighted_vector(query, vocab, coll)
-    w = weighted_vector(class_doc.tokens, vocab, coll)
-    shared = len(query.types & class_doc.tokens.types)
-    return PairSimilarity(cosine(v, w), shared, len(vocab))
+    df = coll.frequencies
+    idf = [smoothed_idf(coll.size, k) for k in range(coll.size + 1)]
+    doc = class_doc.tokens
+    query_norm, doc_norm = (math.sqrt(squared_norm(d, df, idf)) for d in (query, doc))
+    return _cosine(query, query_norm, doc, doc_norm, df, idf)
 
 
 def class_similarity_matrix(corpus: GradedCorpus) -> ClassSimilarityMatrix:
     """Pairwise similarities of the four class documents (N = 4).
 
     Cell (i, j) scores class j's text against class i; the collection is
-    the four class documents, with no query involved. The result is
-    symmetric and its diagonal is 1 within float rounding.
+    the four class documents, with no query involved. Each off-diagonal
+    pair is scored once and mirrored, so the matrix is exactly symmetric;
+    a diagonal cell is 1 with the class's vocabulary size as its count.
     """
-    coll = DocumentCollection(tuple(corpus.classes[g].tokens for g in GRADES))
-    rows = tuple(
-        tuple(pair_similarity(corpus.classes[j].tokens, corpus.classes[i], coll) for j in GRADES)
-        for i in GRADES
-    )
-    return ClassSimilarityMatrix(rows)
+    idf = [smoothed_idf(len(GRADES), k) for k in range(len(GRADES) + 1)]
+    docs = {g: corpus.classes[g].tokens for g in GRADES}
+    norms = {g: math.sqrt(squared_norm(doc, corpus.df4, idf)) for g, doc in docs.items()}
+    cells = {(g, g): PairSimilarity(1.0, len(doc.types), len(doc.types)) for g, doc in docs.items()}
+    for i, j in itertools.combinations(GRADES, 2):
+        cells[i, j] = cells[j, i] = _cosine(docs[j], norms[j], docs[i], norms[i], corpus.df4, idf)
+    return ClassSimilarityMatrix(tuple(tuple(cells[i, j] for j in GRADES) for i in GRADES))

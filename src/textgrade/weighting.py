@@ -16,10 +16,11 @@ from the vector's source document.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, smoothed_idf
 from .tokenizer import TokenSequence
 
 
@@ -39,8 +40,16 @@ class DocumentCollection:
     def size(self) -> int:
         return len(self.docs)
 
+    @cached_property
+    def frequencies(self) -> Counter[str]:
+        """Number of documents containing each term, counted once."""
+        df: Counter[str] = Counter()
+        for doc in self.docs:
+            df.update(doc.types)
+        return df
+
     def document_frequency(self, term: str) -> int:
-        return sum(1 for doc in self.docs if term in doc.types)
+        return self.frequencies[term]
 
 
 @dataclass(frozen=True)
@@ -66,8 +75,7 @@ def term_frequency(term: str, doc: TokenSequence) -> float:
 
 def inverse_document_frequency(term: str, coll: DocumentCollection) -> float:
     """Smoothed IDF of `term` over the collection; minimum 1.0 at df = N."""
-    df = coll.document_frequency(term)
-    return math.log((1 + coll.size) / (1 + df)) + 1.0
+    return smoothed_idf(coll.size, coll.document_frequency(term))
 
 
 def weighted_vector(

@@ -193,3 +193,17 @@ class TestDeterminism:
         assert corpus_a.classes[1].vocabulary == corpus_b.classes[1].vocabulary
         assert corpus_a.stats == corpus_b.stats
         assert corpus_a.classes[1].tokens.tokens != corpus_b.classes[1].tokens.tokens
+
+
+class TestManifestEncoding:
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        manifest = write_corpus(tmp_path, {g: ["x"] for g in GRADES})
+        manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        assert [grade for grade, _ in load_manifest(manifest).entries] == [1, 2, 3, 4]
+
+    def test_crlf_line_endings(self, tmp_path):
+        manifest = write_corpus(tmp_path, {g: ["x"] for g in GRADES})
+        manifest.write_bytes(manifest.read_bytes().replace(b"\n", b"\r\n"))
+        entries = load_manifest(manifest).entries
+        assert [path.name for _, path in entries] == [f"g{g}-0.txt" for g in GRADES]
+        assert build_corpus(load_manifest(manifest)).stats.total_tokens == {g: 1 for g in GRADES}
