@@ -60,7 +60,9 @@ def classify(raw_text: str, corpus: GradedCorpus) -> ClassificationResult:
     df4 = corpus.df4
     length = len(query)
     # every query term is in the query, so its df is its grade count plus one
-    weights = [(term, (count / length) * IDF5[df4[term] + 1]) for term, count in query.counts.items()]
+    weights = [
+        (term, (count / length) * IDF5[df4.get(term, 0) + 1]) for term, count in query.counts.items()
+    ]
     query_norm = math.sqrt(math.fsum(w * w for _, w in weights))
     scores: dict[int, float] = {}
     shared: dict[int, int] = {}

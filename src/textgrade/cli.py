@@ -10,7 +10,7 @@ from decimal import ROUND_HALF_UP, Decimal, localcontext
 from pathlib import Path
 
 from .classifier import ClassificationResult, classify
-from .corpus import GRADES, CorpusStats, GradedCorpus, build_corpus, load_manifest
+from .corpus import GRADES, CorpusStats, GradedCorpus, build_corpus, load_manifest, read_text
 from .errors import TextGradeError
 from .similarity import ClassSimilarityMatrix, class_similarity_matrix
 
@@ -177,7 +177,7 @@ def render_classification(result: ClassificationResult, output: OutputSpec) -> s
 
 def cmd_classify(manifest_path: str | Path, input_path: str | Path, output: OutputSpec) -> str:
     corpus = _load(manifest_path)
-    text = Path(input_path).read_text(encoding="utf-8")
+    text = read_text(Path(input_path))
     return render_classification(classify(text, corpus), output)
 
 

@@ -154,6 +154,16 @@ class GradedCorpus:
         return cls(classes, stats, df4, norms5)
 
 
+def read_text(path: Path, encoding: str = "utf-8") -> str:
+    """Read a text file; a decoding error names the file in its reason."""
+    try:
+        return path.read_text(encoding=encoding)
+    except UnicodeDecodeError as exc:
+        raise UnicodeDecodeError(
+            exc.encoding, exc.object, exc.start, exc.end, f"{exc.reason} in {path}"
+        ) from None
+
+
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Parse a manifest file into validated entries.
 
@@ -165,7 +175,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     base = path.parent
     entries: list[tuple[int, Path]] = []
     seen: set[tuple[int, Path]] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, "utf-8-sig").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -196,13 +206,14 @@ def build_corpus(manifest: CorpusManifest) -> GradedCorpus:
     """Tokenize every manifest file and assemble the per-grade documents.
 
     Files of one grade are concatenated in manifest order. Unreadable
-    files raise OSError naming the path; a grade whose concatenation has
-    no tokens raises EmptyClassError.
+    files raise OSError and files that are not UTF-8 raise
+    UnicodeDecodeError, both naming the path; a grade whose
+    concatenation has no tokens raises EmptyClassError.
     """
     sequences: dict[int, TokenSequence] = {}
     for grade in GRADES:
         parts = [
-            tokenize(entry_path.read_text(encoding="utf-8"))
+            tokenize(read_text(entry_path))
             for entry_grade, entry_path in manifest.entries
             if entry_grade == grade
         ]

@@ -12,8 +12,6 @@ is attempted.
 
 from __future__ import annotations
 
-import itertools
-import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -25,21 +23,13 @@ CANONICAL_APOSTROPHE = "ʻ"
 # one str.replace per variant is much faster than str.translate on non-ASCII text
 _OTHER_APOSTROPHES = "'‘’ʼ`"
 
-# Word-character runs. U+02BB carries category Lm (a letter), so
-# apostrophe-bearing words stay in one run; decimal digits, underscore,
-# and all punctuation split.
-_WORD_RUN = re.compile(r"[^\W\d_]+")
-
-
-def _letter_pieces(run: str) -> Iterator[str]:
-    if run.isalpha():
-        yield run
-        return
-    # \w also admits numeric "letters" (Nl, No) such as Ⅳ or ¼; those are
-    # separators here, only true letters survive
-    for is_letter, group in itertools.groupby(run, key=str.isalpha):
-        if is_letter:
-            yield "".join(group)
+# Above this many distinct separators in one text, one str.translate pass
+# replaces them all instead of one str.replace pass each, so adversarial
+# input cannot make tokenizing quadratic. A translate pass over non-ASCII
+# text costs about as much as 450 replace passes (200k characters,
+# CPython 3.11 on x86-64). Pure-ASCII text has too few distinct
+# characters to reach the limit.
+_REPLACE_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -86,18 +76,22 @@ def normalize(raw: str) -> str:
 def tokenize(raw: str) -> TokenSequence:
     """Split text into normalized tokens.
 
-    Tokens are maximal runs of letters (including the canonical
-    apostrophe) in `normalize(raw)`, with leading and trailing
-    apostrophes stripped from each run. Digits, punctuation, and symbols
-    separate tokens and are discarded. Order and duplicates are kept.
+    Tokens are maximal runs of letters (`str.isalpha`, which includes
+    the canonical apostrophe) in `normalize(raw)`, with leading and
+    trailing apostrophes stripped from each run. Whitespace and every
+    other character (digits, numerics such as ¼ or Ⅳ, punctuation,
+    symbols) separate tokens and are discarded. Order and duplicates are
+    kept.
     """
-    tokens = []
-    for run in _WORD_RUN.findall(normalize(raw)):
-        for piece in _letter_pieces(run):
-            term = piece.strip(CANONICAL_APOSTROPHE)
-            if term:
-                tokens.append(term)
-    return TokenSequence(tuple(tokens), len(raw))
+    text = normalize(raw)
+    separators = [ch for ch in set(text) if not (ch.isalpha() or ch.isspace())]
+    if len(separators) > _REPLACE_LIMIT:
+        text = text.translate(dict.fromkeys(map(ord, separators), " "))
+    else:
+        for ch in separators:
+            text = text.replace(ch, " ")
+    tokens = tuple([term for run in text.split() if (term := run.strip(CANONICAL_APOSTROPHE))])
+    return TokenSequence(tokens, len(raw))
 
 
 def concat(sequences: Iterable[TokenSequence]) -> TokenSequence:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,29 @@ def disjoint_manifest(tmp_path):
         (tmp_path / f"c{grade}.txt").write_text(word, encoding="utf-8")
     manifest = tmp_path / "m.tsv"
     manifest.write_text("".join(f"{g}\tc{g}.txt\n" for g in (1, 2, 3, 4)), encoding="utf-8")
+    return manifest
+
+
+# Mixed-script grade texts: Cyrillic, every apostrophe variant, digits
+# glued to words, numerics (¼ ² Ⅳ), a combining acute (U+0301), no-break
+# and ideographic spaces, a BOM and CRLF line ends.
+MIXED_TEXTS = {
+    1: "Oʻzbek tili — 1-sinf. Gʻoʻza va olma.\r\nMen maktabga boraman! O'qish 2x yaxshi. Olma, OLMA!",
+    2: "\ufeffМактаб ва синф. O‘qituvchi kitob o’qiydi; olma¼nok, behi². Ма\u0301ктаб.",
+    3: "Bugun 3ta kitob oʼqidim. `Salom`, dedi u. Ⅳ bob: daraxt, quyosh… olma",
+    4: "Yoz keldi\u00a0— quyosh porlaydi\u3000va daraxtlar gullaydi. 12-dars: tabiat, kitob.",
+}
+MIXED_QUERY = "Men olma va kitob o'qiydi, quyosh! Мактаб 5-синф; daraxt gullaydi."
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture
+def mixed_manifest(tmp_path):
+    for grade, text in MIXED_TEXTS.items():
+        (tmp_path / f"class-{grade}.txt").write_text(text, encoding="utf-8", newline="")
+    (tmp_path / "query.txt").write_text(MIXED_QUERY, encoding="utf-8")
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("".join(f"{g}\tclass-{g}.txt\n" for g in (1, 2, 3, 4)), encoding="utf-8")
     return manifest
 
 
@@ -154,6 +178,18 @@ class TestClassify:
         assert payload["grades"][0] == {"grade": 1, "score": 0.45, "shared_unique": 1}
 
 
+class TestReportBytes:
+    @pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
+    @pytest.mark.parametrize("command", ["stats", "classify", "matrix"])
+    def test_default_output_is_pinned(self, capsys, mixed_manifest, command, fmt):
+        argv = [command, "--manifest", str(mixed_manifest), "--format", fmt]
+        if command == "classify":
+            argv += ["--input", str(mixed_manifest.parent / "query.txt")]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / f"{command}.{fmt}").read_text(encoding="utf-8")
+
+
 class TestErrors:
     def test_missing_manifest(self, capsys, tmp_path):
         code, out, err = run(capsys, "stats", "--manifest", str(tmp_path / "nope.tsv"))
@@ -187,3 +223,22 @@ class TestErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["stats", "--manifest", str(mini_manifest), "--format", "xml"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("bad", ["corpus", "manifest", "input"])
+    def test_undecodable_file_is_named(self, capsys, mini_manifest, bad):
+        target = {
+            "corpus": mini_manifest.parent / "class-3.txt",
+            "manifest": mini_manifest,
+            "input": mini_manifest.parent / "query.txt",
+        }[bad]
+        (mini_manifest.parent / "query.txt").write_text("olma", encoding="utf-8")
+        target.write_bytes(b"ok \xff bad")
+        code, out, err = run(
+            capsys,
+            "classify", "--manifest", str(mini_manifest),
+            "--input", str(mini_manifest.parent / "query.txt"),
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: 'utf-8' codec can't decode byte 0xff in position 3: invalid start byte in {target}\n"
+        )

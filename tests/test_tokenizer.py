@@ -1,10 +1,12 @@
+import itertools
+import re
 import unicodedata
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from textgrade.tokenizer import CANONICAL_APOSTROPHE, concat, normalize, tokenize
+from textgrade.tokenizer import _REPLACE_LIMIT, CANONICAL_APOSTROPHE, concat, normalize, tokenize
 
 APOSTROPHE_VARIANTS = ["'", "‘", "’", "ʻ", "ʼ", "`"]
 
@@ -109,3 +111,64 @@ class TestProperties:
             assert not token.startswith(CANONICAL_APOSTROPHE)
             assert not token.endswith(CANONICAL_APOSTROPHE)
             assert all(ch.isalpha() for ch in token)
+
+
+# Frozen copy of the regex tokenizer that `tokenize` replaced; the
+# reference its output must keep equal to.
+_WORD_RUN = re.compile(r"[^\W\d_]+")
+
+
+def _letter_pieces(run):
+    if run.isalpha():
+        yield run
+        return
+    for is_letter, group in itertools.groupby(run, key=str.isalpha):
+        if is_letter:
+            yield "".join(group)
+
+
+def reference_tokens(raw):
+    tokens = []
+    for run in _WORD_RUN.findall(normalize(raw)):
+        for piece in _letter_pieces(run):
+            term = piece.strip(CANONICAL_APOSTROPHE)
+            if term:
+                tokens.append(term)
+    return tuple(tokens)
+
+
+# Latin and Cyrillic letters, every apostrophe variant, ASCII and
+# Arabic-Indic digits, numerics that are not letters, a combining acute,
+# underscore, punctuation, and unusual whitespace (no-break space, line
+# separator, ideographic space, file separator).
+MIXED_TEXT = st.text(
+    alphabet=st.sampled_from(
+        list("abgoOzAYʻ") + list("мактабСИНФёЎқ") + APOSTROPHE_VARIANTS
+        + list("0159٣¼²Ⅳ\u0301_«»…—.,- ") + ["\u00a0", "\u2028", "\u3000", "\u001c"]
+    ),
+    max_size=80,
+)
+
+
+class TestMatchesRegexReference:
+    @given(MIXED_TEXT)
+    def test_mixed_script_text(self, raw):
+        assert tokenize(raw).tokens == reference_tokens(raw)
+
+    @given(st.text(max_size=200))
+    def test_any_text(self, raw):
+        assert tokenize(raw).tokens == reference_tokens(raw)
+
+    @pytest.mark.parametrize("distinct", [20, _REPLACE_LIMIT, _REPLACE_LIMIT + 1, 2000])
+    def test_both_separator_branches(self, distinct):
+        # a different symbol (category So, unchanged by normalize) in each fragment
+        symbols = [
+            ch
+            for ch in map(chr, range(0x2000, 0x30000))
+            if unicodedata.category(ch) == "So" and normalize(ch) == ch
+        ][:distinct]
+        raw = "".join(f"Oʻzbek{sym}мактаб2{sym}'olma' " for sym in symbols)
+        separators = {ch for ch in normalize(raw) if not (ch.isalpha() or ch.isspace())}
+        assert len(separators) == distinct + 1  # the digit 2 as well
+        assert tokenize(raw).tokens == reference_tokens(raw)
+        assert len(tokenize(raw)) == 3 * distinct
