@@ -1,69 +1,35 @@
 """Match Uzbek texts to school grades 1-4 by TF-IDF cosine similarity."""
 
-from .classifier import (
-    CONTAINMENT,
-    COSINE_ARGMAX,
-    ClassificationResult,
-    classify,
-    containment_class,
-)
-from .corpus import (
-    GRADES,
-    ClassDocument,
-    CorpusManifest,
-    CorpusStats,
-    GradedCorpus,
-    Vocabulary,
-    build_corpus,
-    corpus_stats,
-    load_manifest,
-)
-from .similarity import (
-    ClassSimilarityMatrix,
-    PairSimilarity,
-    class_similarity_matrix,
-    cosine,
-    pair_similarity,
-)
-from .tokenizer import TokenSequence, normalize, tokenize
-from .weighting import (
+from .classifier import classify, containment_class
+from .corpus import GRADES, ClassDocument, GradedCorpus, Vocabulary, build_corpus, load_manifest
+from .scoring import (
     DocumentCollection,
     WeightedVector,
+    class_similarity_matrix,
+    cosine,
     inverse_document_frequency,
-    pair_vocabulary,
+    pair_similarity,
     term_frequency,
-    weighted_vector,
 )
+from .tokenizer import tokenize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONTAINMENT",
-    "COSINE_ARGMAX",
     "GRADES",
     "ClassDocument",
-    "ClassSimilarityMatrix",
-    "ClassificationResult",
-    "CorpusManifest",
-    "CorpusStats",
     "DocumentCollection",
     "GradedCorpus",
-    "PairSimilarity",
-    "TokenSequence",
     "Vocabulary",
     "WeightedVector",
     "build_corpus",
     "class_similarity_matrix",
     "classify",
     "containment_class",
-    "corpus_stats",
     "cosine",
     "inverse_document_frequency",
     "load_manifest",
-    "normalize",
     "pair_similarity",
-    "pair_vocabulary",
     "term_frequency",
     "tokenize",
-    "weighted_vector",
 ]

@@ -2,26 +2,21 @@
 
 A query is tokenized and first checked for vocabulary containment: the
 lowest grade whose vocabulary includes every query term wins outright
-with score 1. Otherwise all four grades are scored by TF-IDF cosine
-over the collection of the four class documents plus the query (N = 5)
-and the best-scoring grade is chosen, lowest grade winning ties. Cosine
-scores for the remaining grades are computed on both paths so reports
-always carry all four.
-
-Scoring reads the corpus index (`GradedCorpus.df4`, `.norms5`) and makes
-one pass over the query's distinct terms per grade. Only shared terms
-add to the dot product. A grade term the query lacks keeps the weight it
-has in the stored norm; for a shared term df rises by one, so the stored
-norm is corrected by the difference of its squared weights.
+with score 1 and is not scored. The other grades are scored by TF-IDF
+cosine over the collection of the four class documents plus the query
+(N = 5, see `scoring.query_similarities`), so reports always carry all
+four scores. Without containment the best-scoring grade is chosen,
+lowest grade winning ties.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Iterable
 
-from .corpus import GRADES, IDF5, GradedCorpus, Vocabulary
+from .corpus import GRADES, GradedCorpus
 from .errors import EmptyQueryError
+from .scoring import query_similarities
 from .tokenizer import tokenize
 
 CONTAINMENT = "containment"
@@ -38,16 +33,13 @@ class ClassificationResult:
     shared_unique: dict[int, int]
 
 
-def _lowest_containing(terms: frozenset[str], corpus: GradedCorpus) -> int | None:
+def containment_class(terms: Iterable[str], corpus: GradedCorpus) -> int | None:
+    """Smallest grade whose vocabulary contains every one of `terms`, if any."""
+    terms = frozenset(terms)
     for grade in GRADES:
-        if terms <= corpus.classes[grade].tokens.types:
+        if corpus.classes[grade].tokens.types.issuperset(terms):
             return grade
     return None
-
-
-def containment_class(query_vocab: Vocabulary, corpus: GradedCorpus) -> int | None:
-    """Smallest grade whose vocabulary contains every query term, if any."""
-    return _lowest_containing(query_vocab.term_set, corpus)
 
 
 def classify(raw_text: str, corpus: GradedCorpus) -> ClassificationResult:
@@ -56,42 +48,12 @@ def classify(raw_text: str, corpus: GradedCorpus) -> ClassificationResult:
     if not query:
         raise EmptyQueryError("input text contains no tokens")
 
-    contained = _lowest_containing(query.types, corpus)
-    df4 = corpus.df4
-    length = len(query)
-    # every query term is in the query, so its df is its grade count plus one
-    weights = [
-        (term, (count / length) * IDF5[df4.get(term, 0) + 1]) for term, count in query.counts.items()
-    ]
-    query_norm = math.sqrt(math.fsum(w * w for _, w in weights))
-    scores: dict[int, float] = {}
-    shared: dict[int, int] = {}
-    for grade in GRADES:
-        if grade == contained:
-            scores[grade], shared[grade] = 1.0, len(weights)
-            continue
-        doc = corpus.classes[grade].tokens
-        counts, total = doc.counts, len(doc)
-        dot = correction = 0.0
-        n_shared = 0
-        for term, w in weights:
-            count = counts.get(term)
-            if count is not None:
-                n_shared += 1
-                tf = count / total
-                df = df4[term]
-                alone, with_query = tf * IDF5[df], tf * IDF5[df + 1]
-                dot += w * with_query
-                correction += with_query * with_query - alone * alone
-        norm = math.sqrt(corpus.norms5[grade] + correction)
-        scores[grade] = min(1.0, dot / (query_norm * norm))
-        shared[grade] = n_shared
-
+    contained = containment_class(query.types, corpus)
+    pairs = query_similarities(query, corpus, [g for g in GRADES if g != contained])
+    scores = {g: pairs[g].score if g in pairs else 1.0 for g in GRADES}
+    shared = {g: pairs[g].shared_unique if g in pairs else len(query.types) for g in GRADES}
     if contained is not None:
         return ClassificationResult(contained, scores, CONTAINMENT, shared)
-
-    chosen = GRADES[0]
-    for grade in GRADES[1:]:
-        if scores[grade] > scores[chosen]:
-            chosen = grade
+    # max keeps the first of equal scores, so ties go to the lowest grade
+    chosen = max(GRADES, key=scores.__getitem__)
     return ClassificationResult(chosen, scores, COSINE_ARGMAX, shared)

@@ -12,7 +12,7 @@ from pathlib import Path
 from .classifier import ClassificationResult, classify
 from .corpus import GRADES, CorpusStats, GradedCorpus, build_corpus, load_manifest, read_text
 from .errors import TextGradeError
-from .similarity import ClassSimilarityMatrix, class_similarity_matrix
+from .scoring import ClassSimilarityMatrix, class_similarity_matrix
 
 FORMATS = ("table", "tsv", "json")
 

@@ -10,12 +10,10 @@ directory.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .errors import (
     EmptyClassError,
@@ -28,28 +26,12 @@ from .tokenizer import TokenSequence, concat, tokenize
 GRADES = (1, 2, 3, 4)
 
 
-def smoothed_idf(n: int, df: int) -> float:
-    """IDF of a term held by `df` of `n` documents: ln((1 + n) / (1 + df)) + 1."""
-    return math.log((1 + n) / (1 + df)) + 1.0
-
-
-# smoothed_idf(5, df) by df: a query joins the four grades when classifying
-IDF5 = tuple(smoothed_idf(5, df) for df in range(6))
-
-
-def squared_norm(doc: TokenSequence, df: Mapping[str, int], idf: Sequence[float]) -> float:
-    """Squared norm of `doc`'s TF-IDF vector, with `idf` indexed by df.
-
-    A term's weight is (count / total) * idf[df], so the squared norm
-    sums, per df, idf[df]**2 / total**2 times the squared counts. Those
-    integer sums are exact, so the result does not depend on the order of
-    the counts, and documents holding the same bag of words tie exactly.
-    """
-    squares = [0] * len(idf)
+def square_sums(doc: TokenSequence, df: Mapping[str, int], n: int) -> tuple[int, ...]:
+    """Sums of the squared counts of `doc`'s terms, indexed by df = 0..n."""
+    sums = [0] * (n + 1)
     for term, count in doc.counts.items():
-        squares[df[term]] += count * count
-    total = len(doc)
-    return math.fsum((weight / total) ** 2 * sq for weight, sq in zip(idf, squares))
+        sums[df[term]] += count * count
+    return tuple(sums)
 
 
 @dataclass(frozen=True)
@@ -67,18 +49,11 @@ class Vocabulary:
     def from_tokens(cls, seq: TokenSequence) -> "Vocabulary":
         return cls(tuple(sorted(seq.types)))
 
-    @cached_property
-    def term_set(self) -> frozenset[str]:
-        return frozenset(self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.terms)
-
-    def __contains__(self, term: object) -> bool:
-        return term in self.term_set
 
 
 @dataclass(frozen=True)
@@ -91,11 +66,6 @@ class ClassDocument:
     @classmethod
     def from_tokens(cls, grade: int, seq: TokenSequence) -> "ClassDocument":
         return cls(grade, seq)
-
-    @cached_property
-    def vocabulary(self) -> Vocabulary:
-        """The grade's distinct terms, sorted on first use; scoring never reads it."""
-        return Vocabulary.from_tokens(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -121,15 +91,15 @@ class GradedCorpus:
 
     Besides each grade's term counts and token total (`classes[g].tokens`),
     it holds what scoring needs from the corpus alone: `df4`, the number
-    of grades containing each term, and `norms5`, each grade's squared
-    TF-IDF norm in the collection of the four grades plus a query
-    (N = 5), for a query that shares none of the grade's terms.
+    of grades containing each term, and `squares4`, per grade the sums
+    of its terms' squared counts indexed by df4. All of it is integers,
+    so it holds no IDF; scoring weighs it under N = 4 or 5.
     """
 
     classes: dict[int, ClassDocument]
     stats: CorpusStats
     df4: Counter[str]
-    norms5: dict[int, float]
+    squares4: dict[int, tuple[int, ...]]
 
     @classmethod
     def from_token_sequences(cls, sequences: Mapping[int, TokenSequence]) -> "GradedCorpus":
@@ -145,13 +115,13 @@ class GradedCorpus:
         df4: Counter[str] = Counter()
         for doc in classes.values():
             df4.update(doc.tokens.types)
-        norms5 = {grade: squared_norm(doc.tokens, df4, IDF5) for grade, doc in classes.items()}
+        squares4 = {grade: square_sums(doc.tokens, df4, len(GRADES)) for grade, doc in classes.items()}
         stats = CorpusStats(
             total_tokens={g: len(classes[g].tokens) for g in GRADES},
             unique_tokens={g: len(classes[g].tokens.types) for g in GRADES},
             overall_unique=len(df4),
         )
-        return cls(classes, stats, df4, norms5)
+        return cls(classes, stats, df4, squares4)
 
 
 def read_text(path: Path, encoding: str = "utf-8") -> str:
@@ -182,6 +152,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         fields = stripped.split("\t")
         if len(fields) != 2 or not fields[1]:
             raise ManifestError(f"{path}:{lineno}: expected '<grade><TAB><path>', got {line!r}")
+        if "\0" in fields[1]:
+            raise ManifestError(f"{path}:{lineno}: path holds a NUL byte: {fields[1]!r}")
         try:
             grade = int(fields[0])
         except ValueError:
@@ -219,8 +191,3 @@ def build_corpus(manifest: CorpusManifest) -> GradedCorpus:
         ]
         sequences[grade] = concat(parts)
     return GradedCorpus.from_token_sequences(sequences)
-
-
-def corpus_stats(corpus: GradedCorpus) -> CorpusStats:
-    """Return the stats computed at construction time."""
-    return corpus.stats

@@ -34,10 +34,9 @@ _REPLACE_LIMIT = 256
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Ordered tokens of one document plus the raw character count."""
+    """Ordered tokens of one document."""
 
     tokens: tuple[str, ...]
-    source_len: int
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -91,14 +90,12 @@ def tokenize(raw: str) -> TokenSequence:
         for ch in separators:
             text = text.replace(ch, " ")
     tokens = tuple([term for run in text.split() if (term := run.strip(CANONICAL_APOSTROPHE))])
-    return TokenSequence(tokens, len(raw))
+    return TokenSequence(tokens)
 
 
 def concat(sequences: Iterable[TokenSequence]) -> TokenSequence:
-    """Concatenate token sequences, summing their source lengths."""
+    """Concatenate token sequences."""
     tokens: list[str] = []
-    source_len = 0
     for seq in sequences:
         tokens.extend(seq.tokens)
-        source_len += seq.source_len
-    return TokenSequence(tuple(tokens), source_len)
+    return TokenSequence(tuple(tokens))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from textgrade import (
     GRADES,
@@ -99,3 +101,60 @@ class TestOracleEquivalence:
             for g in GRADES:
                 assert result.scores[g] == pytest.approx(expected["scores"][g], abs=1e-9)
                 assert result.shared_unique[g] == expected["shared"][g]
+
+
+# Words over small Latin and Cyrillic alphabets, so that grades and
+# queries share terms, and oʻ/gʻ words spelled with every apostrophe
+# variant; joined by spaces, digits, punctuation and apostrophes (which
+# glue two words into one token).
+APOSTROPHES = ["'", "‘", "’", "ʻ", "ʼ", "`"]
+WORDS = st.one_of(
+    st.text(alphabet="abOq", min_size=1, max_size=2),
+    st.text(alphabet="мкТў", min_size=1, max_size=2),
+    st.builds(
+        lambda stem, apostrophe, tail: stem + apostrophe + tail,
+        st.sampled_from(["o", "g", "Gʻo", "bo"]),
+        st.sampled_from(APOSTROPHES),
+        st.text(alphabet="aqz", max_size=2),
+    ),
+)
+JOINERS = st.sampled_from([" ", "\n", "1", "2024", ", ", ".", "!", "«", "»", "—", "…", "-"] + APOSTROPHES)
+TEXTS = st.lists(st.tuples(WORDS, JOINERS), min_size=1, max_size=25).map(
+    lambda parts: "".join(word + joiner for word, joiner in parts)
+)
+CORPORA = st.fixed_dictionaries({g: TEXTS for g in GRADES})
+
+
+def mixed_corpus(texts):
+    return GradedCorpus.from_token_sequences({g: tokenize(t) for g, t in texts.items()})
+
+
+class TestMetamorphic:
+    @given(CORPORA, TEXTS)
+    def test_matches_oracle_on_mixed_text(self, texts, query):
+        classes = {g: list(tokenize(t).tokens) for g, t in texts.items()}
+        expected = ref_classify(list(tokenize(query).tokens), classes)
+        result = classify(query, mixed_corpus(texts))
+        assert result.decision == expected["decision"]
+        assert result.shared_unique == expected["shared"]
+        for g in GRADES:
+            assert result.scores[g] == pytest.approx(expected["scores"][g], abs=1e-9)
+        if result.decision == CONTAINMENT:
+            assert result.chosen_grade == expected["chosen"]
+        else:
+            # a tie in exact arithmetic may round either way in the oracle
+            best = max(expected["scores"].values())
+            assert expected["scores"][result.chosen_grade] >= best - 1e-9
+
+    @given(CORPORA, TEXTS)
+    def test_doubled_query_is_unchanged(self, texts, query):
+        corpus = mixed_corpus(texts)
+        assert classify(query + " " + query, corpus) == classify(query, corpus)
+
+    @given(CORPORA)
+    def test_grade_text_is_decided_by_containment(self, texts):
+        corpus = mixed_corpus(texts)
+        for g in GRADES:
+            result = classify(texts[g], corpus)
+            assert result.decision == CONTAINMENT
+            assert result.chosen_grade <= g

@@ -205,6 +205,13 @@ class TestErrors:
         assert code == 1
         assert "grade" in err
 
+    def test_nul_byte_in_manifest_path(self, capsys, mini_manifest):
+        with mini_manifest.open("a", encoding="utf-8") as fh:
+            fh.write("4\tc4\0.txt\n")
+        code, out, err = run(capsys, "stats", "--manifest", str(mini_manifest))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {mini_manifest}:5: ") and err.count("\n") == 1
+
     def test_empty_query_file(self, capsys, mini_manifest, tmp_path):
         query = tmp_path / "query.txt"
         query.write_text("123 !!!", encoding="utf-8")

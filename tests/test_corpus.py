@@ -5,7 +5,6 @@ from textgrade import (
     GradedCorpus,
     Vocabulary,
     build_corpus,
-    corpus_stats,
     load_manifest,
     tokenize,
 )
@@ -72,6 +71,13 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match="integer"):
             load_manifest(manifest)
 
+    def test_nul_byte_in_path_rejected(self, tmp_path):
+        manifest = write_corpus(tmp_path, {g: ["x"] for g in GRADES})
+        with manifest.open("a", encoding="utf-8") as fh:
+            fh.write("4\tc4\0.txt\n")
+        with pytest.raises(ManifestError, match=":5: path holds a NUL byte"):
+            load_manifest(manifest)
+
     def test_duplicate_entry_rejected(self, tmp_path):
         manifest = write_corpus(tmp_path, {g: ["x"] for g in GRADES})
         with manifest.open("a", encoding="utf-8") as fh:
@@ -88,15 +94,15 @@ class TestBuildCorpus:
         corpus = build_corpus(load_manifest(manifest))
         doc = corpus.classes[1]
         assert doc.tokens.tokens == ("olma", "nok", "olma")
-        assert doc.vocabulary.terms == ("nok", "olma")
+        assert doc.tokens.types == {"nok", "olma"}
         assert corpus.stats.total_tokens[1] == 3
         assert corpus.stats.unique_tokens[1] == 2
 
     def test_identical_files_give_identical_vocabularies(self, tmp_path):
         manifest = write_corpus(tmp_path, {g: ["olma nok"] for g in GRADES})
         corpus = build_corpus(load_manifest(manifest))
-        vocabs = {corpus.classes[g].vocabulary.terms for g in GRADES}
-        assert vocabs == {("nok", "olma")}
+        vocabs = {corpus.classes[g].tokens.types for g in GRADES}
+        assert vocabs == {frozenset({"nok", "olma"})}
 
     def test_grade_files_concatenated_in_manifest_order(self, tmp_path):
         manifest = write_corpus(
@@ -134,14 +140,11 @@ class TestCorpusStats:
                 4: tokenize("d e"),
             }
         )
-        assert corpus_stats(corpus).overall_unique == 5
+        assert corpus.stats.overall_unique == 5
 
     def test_four_identical_single_word_classes(self):
         corpus = GradedCorpus.from_token_sequences({g: tokenize("olma") for g in GRADES})
-        assert corpus_stats(corpus).overall_unique == 1
-
-    def test_returns_stored_stats(self, mini_corpus):
-        assert corpus_stats(mini_corpus) is mini_corpus.stats
+        assert corpus.stats.overall_unique == 1
 
     def test_unique_never_exceeds_total(self, mini_corpus):
         stats = mini_corpus.stats
@@ -181,7 +184,7 @@ class TestDeterminism:
         union = set()
         for text in texts:
             union |= tokenize(text).types
-        assert set(corpus.classes[1].vocabulary.terms) == union
+        assert corpus.classes[1].tokens.types == union
 
     def test_file_order_within_grade_changes_nothing_but_token_order(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -190,7 +193,7 @@ class TestDeterminism:
         b = write_corpus(tmp_path / "b", {1: ["behi", "olma nok"], 2: ["b"], 3: ["c"], 4: ["d"]})
         corpus_a = build_corpus(load_manifest(a))
         corpus_b = build_corpus(load_manifest(b))
-        assert corpus_a.classes[1].vocabulary == corpus_b.classes[1].vocabulary
+        assert corpus_a.classes[1].tokens.types == corpus_b.classes[1].tokens.types
         assert corpus_a.stats == corpus_b.stats
         assert corpus_a.classes[1].tokens.tokens != corpus_b.classes[1].tokens.tokens
 

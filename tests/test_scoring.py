@@ -1,12 +1,14 @@
-"""The sparse scoring paths against dense pair-union references.
+"""The sparse scoring paths against the dense pair-union oracle.
 
 classify, pair_similarity and class_similarity_matrix score over the
-terms the two documents share, using the corpus index. The references
-here build the dense vectors of the spec with pair_vocabulary,
-weighted_vector and cosine.
+terms the two documents share, from exact per-df integer sums. The
+reference is the oracle in tests/reference.py, which builds the dense
+vectors of the spec over each pair's union vocabulary.
 """
 
 import random
+
+import pytest
 
 from textgrade import (
     GRADES,
@@ -16,25 +18,22 @@ from textgrade import (
     WeightedVector,
     class_similarity_matrix,
     classify,
-    cosine,
     pair_similarity,
-    pair_vocabulary,
     tokenize,
-    weighted_vector,
 )
 from textgrade.classifier import CONTAINMENT, COSINE_ARGMAX
 
 from conftest import random_case
+from reference import ref_classify, ref_pair_similarity, ref_union_vocab
 
 TOLERANCE = 1e-12
 
 
 def dense_pair(query, class_tokens, coll):
-    """(score, shared terms, pair vocabulary size) from dense vectors."""
-    vocab = pair_vocabulary(query, class_tokens)
-    v = weighted_vector(query, vocab, coll)
-    w = weighted_vector(class_tokens, vocab, coll)
-    return cosine(v, w), len(query.types & class_tokens.types), len(vocab)
+    """(score, shared terms, pair vocabulary size) from the oracle."""
+    a, b = list(query.tokens), list(class_tokens.tokens)
+    score, shared = ref_pair_similarity(a, b, [list(doc.tokens) for doc in coll.docs])
+    return score, shared, len(ref_union_vocab(a, b))
 
 
 def random_corpora(seed, count):
@@ -122,10 +121,44 @@ def test_scoring_builds_no_dense_vectors(monkeypatch, mini_corpus):
 
     monkeypatch.setattr(Vocabulary, "__post_init__", forbidden)
     monkeypatch.setattr(WeightedVector, "__post_init__", forbidden)
-    monkeypatch.setattr(DocumentCollection, "document_frequency", forbidden)
     corpus = GradedCorpus.from_token_sequences({g: mini_corpus.classes[g].tokens for g in GRADES})
     assert classify("olma nok", corpus).decision == CONTAINMENT
     assert classify("olma behi", corpus).decision == COSINE_ARGMAX
     class_similarity_matrix(corpus)
-    assert all("vocabulary" not in corpus.classes[g].__dict__ for g in GRADES)
 
+
+
+# Grades 1 and 2 hold different bags of words whose scores against both
+# queries tie in exact arithmetic; the queries are one bag in two orders.
+TIE_TEXTS = {
+    1: "we we wa wa we wd wc we wd wc wa wb wd we wb",
+    2: "wd we wb wa wb wa wc wb we wd we we wd wa wb",
+    3: "wd wc wb wc wd wb wd we we wc we",
+    4: "we we wd wd wb wd wc we wc wb wb",
+}
+
+
+@pytest.mark.parametrize(
+    "query", ["wa qxa wb qxb wc we we wb qxa wd we", "wc we qxb qxa we qxa wa wb we wb wd"]
+)
+def test_word_order_cannot_split_a_tie(query):
+    corpus = GradedCorpus.from_token_sequences({g: tokenize(t) for g, t in TIE_TEXTS.items()})
+    result = classify(query, corpus)
+    assert result.decision == COSINE_ARGMAX
+    assert result.scores[1] == result.scores[2]
+    assert result.chosen_grade == 1
+
+
+def test_shuffled_query_gives_identical_scores_and_the_oracle_decision():
+    rng = random.Random(5)
+    for _ in range(3000):
+        classes, query = random_case(rng)
+        corpus = GradedCorpus.from_token_sequences(
+            {g: tokenize(" ".join(tokens)) for g, tokens in classes.items()}
+        )
+        result = classify(" ".join(query), corpus)
+        expected = ref_classify(query, classes)
+        assert (result.chosen_grade, result.decision) == (expected["chosen"], expected["decision"])
+        for _ in range(3):
+            shuffled = rng.sample(query, len(query))
+            assert classify(" ".join(shuffled), corpus) == result

@@ -135,7 +135,7 @@ class TestClassSimilarityMatrix:
     def test_diagonal_counts_are_vocabulary_sizes(self, mini_corpus):
         matrix = class_similarity_matrix(mini_corpus)
         for g in GRADES:
-            assert matrix.cell(g, g).shared_unique == len(mini_corpus.classes[g].vocabulary)
+            assert matrix.cell(g, g).shared_unique == len(mini_corpus.classes[g].tokens.types)
 
     def test_exactly_symmetric(self, mini_corpus):
         matrix = class_similarity_matrix(mini_corpus)

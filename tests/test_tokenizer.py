@@ -63,9 +63,10 @@ class TestTokenize:
     def test_cyrillic_tokenized_without_transliteration(self):
         assert tokenize("Мактаб 5-синф").tokens == ("мактаб", "синф")
 
-    def test_source_len_counts_raw_characters(self):
-        raw = "Men maktabga boraman."
-        assert tokenize(raw).source_len == len(raw)
+    def test_combining_mark_without_precomposed_form_splits(self):
+        # a stress mark on Cyrillic а, and the dot that İ keeps when lowercased
+        assert tokenize("ма\u0301ктаб").tokens == ("ма", "ктаб")
+        assert tokenize("İstanbul").tokens == ("i", "stanbul")
 
     def test_duplicates_and_order_preserved(self):
         assert tokenize("b a b").tokens == ("b", "a", "b")
@@ -81,7 +82,6 @@ class TestTokenSequence:
     def test_concat(self):
         combined = concat([tokenize("olma nok"), tokenize("behi")])
         assert combined.tokens == ("olma", "nok", "behi")
-        assert combined.source_len == len("olma nok") + len("behi")
 
 
 class TestProperties:

@@ -1,19 +1,10 @@
 import math
-from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from textgrade import (
-    DocumentCollection,
-    Vocabulary,
-    inverse_document_frequency,
-    pair_vocabulary,
-    term_frequency,
-    tokenize,
-    weighted_vector,
-)
+from textgrade import DocumentCollection, inverse_document_frequency, term_frequency, tokenize
 
 token_lists = st.lists(st.sampled_from(["olma", "nok", "behi", "uzum", "anor"]), min_size=1, max_size=30)
 
@@ -75,66 +66,3 @@ class TestInverseDocumentFrequency:
             DocumentCollection(())
         with pytest.raises(ValueError):
             DocumentCollection((seq("x"), seq("")))
-
-
-class TestWeightedVector:
-    def test_worked_example(self, mini_collection):
-        vocab = Vocabulary(("behi", "nok", "olma"))
-        vector = weighted_vector(seq("olma nok olma"), vocab, mini_collection)
-        expected = (0.0, (math.log(2) + 1) / 3, 2 / 3)
-        assert vector.coords == pytest.approx(expected, abs=1e-12)
-
-    def test_disjoint_vocabulary_gives_all_zero(self, mini_collection):
-        vector = weighted_vector(seq("olma"), Vocabulary(("behi", "nok")), mini_collection)
-        assert vector.coords == (0.0, 0.0)
-
-    def test_own_vocabulary_has_no_zeros(self, mini_collection):
-        doc = seq("olma nok olma")
-        vector = weighted_vector(doc, Vocabulary.from_tokens(doc), mini_collection)
-        assert all(c > 0 for c in vector.coords)
-
-    def test_empty_vocab_rejected(self, mini_collection):
-        with pytest.raises(ValueError):
-            weighted_vector(seq("olma"), Vocabulary(()), mini_collection)
-
-    def test_empty_document_rejected(self, mini_collection):
-        with pytest.raises(ValueError):
-            weighted_vector(seq(""), Vocabulary(("olma",)), mini_collection)
-
-    def test_coordinate_count_matches_vocab(self, mini_collection):
-        vocab = Vocabulary(("anor", "behi", "nok", "olma", "uzum"))
-        vector = weighted_vector(seq("olma nok olma"), vocab, mini_collection)
-        assert len(vector.coords) == len(vocab)
-
-    @given(token_lists)
-    def test_zero_exactly_when_absent(self, tokens):
-        doc = seq(" ".join(tokens))
-        coll = DocumentCollection((doc, seq("olma behi")))
-        vocab = Vocabulary(("anor", "behi", "nok", "olma", "uzum"))
-        vector = weighted_vector(doc, vocab, coll)
-        for term, coord in zip(vocab, vector.coords):
-            assert (coord == 0.0) == (term not in doc.types)
-            assert coord >= 0.0
-
-    @given(token_lists)
-    def test_superset_vocab_only_pads_zeros(self, tokens):
-        doc = seq(" ".join(tokens))
-        coll = DocumentCollection((doc, seq("olma behi")))
-        own = weighted_vector(doc, Vocabulary.from_tokens(doc), coll)
-        padded = weighted_vector(doc, Vocabulary(("anor", "behi", "nok", "olma", "uzum", "zz")), coll)
-        own_nonzero = Counter(c for c in own.coords if c != 0.0)
-        padded_nonzero = Counter(c for c in padded.coords if c != 0.0)
-        assert own_nonzero == padded_nonzero
-
-
-class TestPairVocabulary:
-    def test_union(self):
-        vocab = pair_vocabulary(seq("olma nok"), seq("olma behi"))
-        assert vocab.terms == ("behi", "nok", "olma")
-
-    def test_idempotent(self):
-        doc = seq("olma nok")
-        assert pair_vocabulary(doc, doc).terms == ("nok", "olma")
-
-    def test_empty_side(self):
-        assert pair_vocabulary(seq(""), seq("olma")).terms == ("olma",)
