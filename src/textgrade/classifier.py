@@ -12,7 +12,7 @@ lowest grade winning ties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable, Set
 
 from .corpus import GRADES, GradedCorpus
 from .errors import EmptyQueryError
@@ -34,10 +34,15 @@ class ClassificationResult:
 
 
 def containment_class(terms: Iterable[str], corpus: GradedCorpus) -> int | None:
-    """Smallest grade whose vocabulary contains every one of `terms`, if any."""
-    terms = frozenset(terms)
+    """Smallest grade whose vocabulary contains every one of `terms`, if any.
+
+    A set or a dict's keys are tested as they are; other iterables are
+    collected into a frozenset first.
+    """
+    if not isinstance(terms, Set):
+        terms = frozenset(terms)
     for grade in GRADES:
-        if corpus.classes[grade].tokens.types.issuperset(terms):
+        if corpus.classes[grade].tokens.counts.keys() >= terms:
             return grade
     return None
 
@@ -48,10 +53,10 @@ def classify(raw_text: str, corpus: GradedCorpus) -> ClassificationResult:
     if not query:
         raise EmptyQueryError("input text contains no tokens")
 
-    contained = containment_class(query.types, corpus)
+    contained = containment_class(query.counts.keys(), corpus)
     pairs = query_similarities(query, corpus, [g for g in GRADES if g != contained])
     scores = {g: pairs[g].score if g in pairs else 1.0 for g in GRADES}
-    shared = {g: pairs[g].shared_unique if g in pairs else len(query.types) for g in GRADES}
+    shared = {g: pairs[g].shared_unique if g in pairs else len(query.counts) for g in GRADES}
     if contained is not None:
         return ClassificationResult(contained, scores, CONTAINMENT, shared)
     # max keeps the first of equal scores, so ties go to the lowest grade

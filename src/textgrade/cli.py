@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, localcontext
@@ -239,7 +240,17 @@ def main(argv: list[str] | None = None) -> int:
     except (TextGradeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(report)
+    try:
+        print(report)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader is gone; the flush at exit would fail again unless stdout
+        # points at devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: standard output closed: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, count
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -21,17 +22,9 @@ from .errors import (
     IncompleteCorpusError,
     ManifestError,
 )
-from .tokenizer import TokenSequence, concat, tokenize
+from .tokenizer import TokenSequence, tokenize
 
 GRADES = (1, 2, 3, 4)
-
-
-def square_sums(doc: TokenSequence, df: Mapping[str, int], n: int) -> tuple[int, ...]:
-    """Sums of the squared counts of `doc`'s terms, indexed by df = 0..n."""
-    sums = [0] * (n + 1)
-    for term, count in doc.counts.items():
-        sums[df[term]] += count * count
-    return tuple(sums)
 
 
 @dataclass(frozen=True)
@@ -90,15 +83,19 @@ class GradedCorpus:
     safe to share among concurrent readers.
 
     Besides each grade's term counts and token total (`classes[g].tokens`),
-    it holds what scoring needs from the corpus alone: `df4`, the number
-    of grades containing each term, and `squares4`, per grade the sums
-    of its terms' squared counts indexed by df4. All of it is integers,
-    so it holds no IDF; scoring weighs it under N = 4 or 5.
+    it holds what scoring needs from the corpus alone, term-major: `rows`
+    gives each corpus term its row, `df4[row]` is the number of grades
+    holding the term, and `columns[g - 1][row]` is its count in grade g,
+    0 where g lacks it. `squares4` holds, per grade, the sums of its
+    terms' squared counts indexed by df4. All of it is integers, so it
+    holds no IDF; scoring weighs it under N = 4 or 5.
     """
 
     classes: dict[int, ClassDocument]
     stats: CorpusStats
-    df4: Counter[str]
+    rows: dict[str, int]
+    df4: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
     squares4: dict[int, tuple[int, ...]]
 
     @classmethod
@@ -112,16 +109,29 @@ class GradedCorpus:
             if not seq:
                 raise EmptyClassError(f"grade {grade} has no tokens")
             classes[grade] = ClassDocument.from_tokens(grade, seq)
-        df4: Counter[str] = Counter()
-        for doc in classes.values():
-            df4.update(doc.tokens.types)
-        squares4 = {grade: square_sums(doc.tokens, df4, len(GRADES)) for grade, doc in classes.items()}
+        counts = [classes[g].tokens.counts for g in GRADES]
+        df = Counter(chain(*counts))
+        rows = dict(zip(df, count()))
+        df4 = tuple(df.values())
+        columns = []
+        squares4 = {}
+        # one pass over each grade's own terms fills its column and its
+        # square sums; it beats C-level passes over every row of every column
+        for grade, grade_counts in zip(GRADES, counts):
+            column = [0] * len(rows)
+            sums = [0] * (len(GRADES) + 1)
+            for term, n in grade_counts.items():
+                row = rows[term]
+                column[row] = n
+                sums[df4[row]] += n * n
+            columns.append(tuple(column))
+            squares4[grade] = tuple(sums)
         stats = CorpusStats(
             total_tokens={g: len(classes[g].tokens) for g in GRADES},
-            unique_tokens={g: len(classes[g].tokens.types) for g in GRADES},
-            overall_unique=len(df4),
+            unique_tokens={g: len(c) for g, c in zip(GRADES, counts)},
+            overall_unique=len(rows),
         )
-        return cls(classes, stats, df4, squares4)
+        return cls(classes, stats, rows, df4, tuple(columns), squares4)
 
 
 def read_text(path: Path, encoding: str = "utf-8") -> str:
@@ -177,17 +187,20 @@ def load_manifest(path: str | Path) -> CorpusManifest:
 def build_corpus(manifest: CorpusManifest) -> GradedCorpus:
     """Tokenize every manifest file and assemble the per-grade documents.
 
-    Files of one grade are concatenated in manifest order. Unreadable
-    files raise OSError and files that are not UTF-8 raise
-    UnicodeDecodeError, both naming the path; a grade whose
-    concatenation has no tokens raises EmptyClassError.
+    Files of one grade are joined by a newline in manifest order and
+    tokenized once; a newline separates words, so this gives the tokens
+    of each file in turn. Unreadable files raise OSError and files that
+    are not UTF-8 raise UnicodeDecodeError, both naming the path; a
+    grade whose files hold no tokens raises EmptyClassError.
     """
-    sequences: dict[int, TokenSequence] = {}
-    for grade in GRADES:
-        parts = [
-            tokenize(read_text(entry_path))
-            for entry_grade, entry_path in manifest.entries
-            if entry_grade == grade
-        ]
-        sequences[grade] = concat(parts)
+    sequences = {
+        grade: tokenize(
+            "\n".join(
+                read_text(entry_path)
+                for entry_grade, entry_path in manifest.entries
+                if entry_grade == grade
+            )
+        )
+        for grade in GRADES
+    }
     return GradedCorpus.from_token_sequences(sequences)

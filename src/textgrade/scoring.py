@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import GRADES, ClassDocument, GradedCorpus, Vocabulary, square_sums
+from .corpus import GRADES, ClassDocument, GradedCorpus, Vocabulary
 from .errors import VocabularyMismatchError, ZeroVectorError
 from .tokenizer import TokenSequence
 
@@ -73,10 +73,7 @@ class DocumentCollection:
     @cached_property
     def frequencies(self) -> Counter[str]:
         """Number of documents containing each term, counted once."""
-        df: Counter[str] = Counter()
-        for doc in self.docs:
-            df.update(doc.types)
-        return df
+        return Counter(itertools.chain(*(doc.counts for doc in self.docs)))
 
 
 @dataclass(frozen=True)
@@ -142,32 +139,25 @@ def cosine(v: WeightedVector, w: WeightedVector) -> float:
     return min(1.0, dot / (math.sqrt(norm_v) * math.sqrt(norm_w)))
 
 
+def square_sums(doc: TokenSequence, df: Mapping[str, int], n: int) -> list[int]:
+    """Sums of the squared counts of `doc`'s terms, indexed by df = 0..n."""
+    sums = [0] * (n + 1)
+    for term, count in doc.counts.items():
+        sums[df[term]] += count * count
+    return sums
+
+
 def _weigh(sums: Sequence[int], idf: Sequence[float], scale: int) -> float:
     """The sum over df of idf[df]**2 / scale * sums[df], rounded once."""
     return math.fsum(weight * weight / scale * s for weight, s in zip(idf, sums))
 
 
-def _pair(
-    a: TokenSequence,
-    a_norm: float,
-    b: TokenSequence,
-    b_norm: float,
-    df: Mapping[str, int],
-    idf: Sequence[float],
-) -> PairSimilarity:
-    """Cosine of `a` and `b` given their squared norms, with the shared and
-    union term counts."""
-    small, large = (a.counts, b.counts) if len(a.counts) <= len(b.counts) else (b.counts, a.counts)
-    products = [0] * len(idf)
-    shared = 0
-    for term, count in small.items():
-        other = large.get(term)
-        if other is not None:
-            products[df[term]] += count * other
-            shared += 1
-    dot = _weigh(products, idf, len(a) * len(b))
-    score = min(1.0, dot / math.sqrt(a_norm * b_norm))
-    return PairSimilarity(score, shared, len(a.counts) + len(b.counts) - shared)
+def _cosine(
+    products: Sequence[int], idf: Sequence[float], scale: int, norm_a: float, norm_b: float
+) -> float:
+    """The weighed dot product over the root of the squared norms' product,
+    clamped at 1.0 against float rounding on identical documents."""
+    return min(1.0, _weigh(products, idf, scale) / math.sqrt(norm_a * norm_b))
 
 
 def pair_similarity(
@@ -179,7 +169,16 @@ def pair_similarity(
     query_norm, doc_norm = (
         _weigh(square_sums(d, df, coll.size), idf, len(d) ** 2) for d in (query, doc)
     )
-    return _pair(query, query_norm, doc, doc_norm, df, idf)
+    small, large = sorted((query.counts, doc.counts), key=len)
+    products = [0] * len(idf)
+    shared = 0
+    for term, count in small.items():
+        other = large.get(term)
+        if other is not None:
+            products[df[term]] += count * other
+            shared += 1
+    score = _cosine(products, idf, len(query) * len(doc), query_norm, doc_norm)
+    return PairSimilarity(score, shared, len(query.counts) + len(doc.counts) - shared)
 
 
 def query_similarities(
@@ -187,38 +186,64 @@ def query_similarities(
 ) -> dict[int, PairSimilarity]:
     """Score a nonempty query against each of `grades` (N = 5).
 
-    The collection is the four class documents plus the query. A query
-    term's df is its grade count plus one. A grade term keeps its df4
-    unless the query holds it too; then its square moves from the
-    grade's stored bucket `squares4[df4]` to df4 + 1.
+    The collection is the four class documents plus the query. One pass
+    over the query's distinct terms looks each up once in `corpus.rows`;
+    its df is its df4 plus one. For each grade holding the term, the
+    pass adds the count product to that df's bucket, counts the term as
+    shared, and notes that the grade's square of it moves from its
+    stored bucket `squares4[df4]` to df4 + 1.
     """
-    df4 = corpus.df4
-    query_squares = [0] * len(IDF5)
-    known = []
+    rows, df4 = corpus.rows, corpus.df4
+    c1, c2, c3, c4 = corpus.columns
+    size = len(IDF5)
+    query_squares = [0] * size
+    products = [[0] * size for _ in GRADES]
+    moved = [[0] * size for _ in GRADES]  # moved[g - 1][df]: squares moved into df
+    p1, p2, p3, p4 = products
+    m1, m2, m3, m4 = moved
+    s1 = s2 = s3 = s4 = 0
+    # unrolled over the four grades: an inner loop would double the time
     for term, count in query.counts.items():
-        df = df4.get(term, 0)
-        query_squares[df + 1] += count * count
-        if df:
-            known.append((term, count, df))
+        row = rows.get(term)
+        if row is None:
+            query_squares[1] += count * count
+            continue
+        df = df4[row] + 1
+        query_squares[df] += count * count
+        other = c1[row]
+        if other:
+            p1[df] += count * other
+            m1[df] += other * other
+            s1 += 1
+        other = c2[row]
+        if other:
+            p2[df] += count * other
+            m2[df] += other * other
+            s2 += 1
+        other = c3[row]
+        if other:
+            p3[df] += count * other
+            m3[df] += other * other
+            s3 += 1
+        other = c4[row]
+        if other:
+            p4[df] += count * other
+            m4[df] += other * other
+            s4 += 1
+    shared = (s1, s2, s3, s4)
     query_norm = _weigh(query_squares, IDF5, len(query) ** 2)
     pairs = {}
     for grade in grades:
         doc = corpus.classes[grade].tokens
-        counts = doc.counts
-        products = [0] * len(IDF5)
-        squares = [*corpus.squares4[grade], 0]
-        shared = 0
-        for term, count, df in known:
-            other = counts.get(term)
-            if other is not None:
-                products[df + 1] += count * other
-                squares[df] -= other * other
-                squares[df + 1] += other * other
-                shared += 1
-        dot = _weigh(products, IDF5, len(query) * len(doc))
+        into = moved[grade - 1]
+        squares = [
+            s + gained - lost
+            for s, gained, lost in zip((*corpus.squares4[grade], 0), into, (*into[1:], 0))
+        ]
         norm = _weigh(squares, IDF5, len(doc) ** 2)
-        score = min(1.0, dot / math.sqrt(query_norm * norm))
-        pairs[grade] = PairSimilarity(score, shared, len(query.counts) + len(counts) - shared)
+        score = _cosine(products[grade - 1], IDF5, len(query) * len(doc), query_norm, norm)
+        common = shared[grade - 1]
+        pairs[grade] = PairSimilarity(score, common, len(query.counts) + len(doc.counts) - common)
     return pairs
 
 
@@ -229,10 +254,27 @@ def class_similarity_matrix(corpus: GradedCorpus) -> ClassSimilarityMatrix:
     the four class documents, with no query involved. Each off-diagonal
     pair is scored once and mirrored, so the matrix is exactly symmetric;
     a diagonal cell is 1 with the class's vocabulary size as its count.
+    A pair walks the terms of the grade with fewer of them and reads the
+    other grade's count and the df from the term's row.
     """
-    docs = {g: corpus.classes[g].tokens for g in GRADES}
-    norms = {g: _weigh(corpus.squares4[g], IDF4, len(doc) ** 2) for g, doc in docs.items()}
-    cells = {(g, g): PairSimilarity(1.0, len(doc.types), len(doc.types)) for g, doc in docs.items()}
+    rows, df4, columns = corpus.rows, corpus.df4, corpus.columns
+    counts = {g: corpus.classes[g].tokens.counts for g in GRADES}
+    totals = {g: len(corpus.classes[g].tokens) for g in GRADES}
+    norms = {g: _weigh(corpus.squares4[g], IDF4, totals[g] ** 2) for g in GRADES}
+    cells = {(g, g): PairSimilarity(1.0, len(counts[g]), len(counts[g])) for g in GRADES}
     for i, j in itertools.combinations(GRADES, 2):
-        cells[i, j] = cells[j, i] = _pair(docs[j], norms[j], docs[i], norms[i], corpus.df4, IDF4)
+        small, large = sorted((i, j), key=lambda g: len(counts[g]))
+        column = columns[large - 1]
+        products = [0] * len(IDF4)
+        shared = 0
+        for term, count in counts[small].items():
+            row = rows[term]
+            other = column[row]
+            if other:
+                products[df4[row]] += count * other
+                shared += 1
+        score = _cosine(products, IDF4, totals[j] * totals[i], norms[j], norms[i])
+        cells[i, j] = cells[j, i] = PairSimilarity(
+            score, shared, len(counts[i]) + len(counts[j]) - shared
+        )
     return ClassSimilarityMatrix(tuple(tuple(cells[i, j] for j in GRADES) for i in GRADES))

@@ -16,7 +16,8 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from itertools import repeat
+from typing import Iterator
 
 CANONICAL_APOSTROPHE = "ʻ"
 
@@ -89,13 +90,6 @@ def tokenize(raw: str) -> TokenSequence:
     else:
         for ch in separators:
             text = text.replace(ch, " ")
-    tokens = tuple([term for run in text.split() if (term := run.strip(CANONICAL_APOSTROPHE))])
+    tokens = tuple(filter(None, map(str.strip, text.split(), repeat(CANONICAL_APOSTROPHE))))
     return TokenSequence(tokens)
 
-
-def concat(sequences: Iterable[TokenSequence]) -> TokenSequence:
-    """Concatenate token sequences."""
-    tokens: list[str] = []
-    for seq in sequences:
-        tokens.extend(seq.tokens)
-    return TokenSequence(tuple(tokens))

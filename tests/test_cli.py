@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import textgrade
 from textgrade.cli import OutputSpec, format_score, main
 
 
@@ -249,3 +253,60 @@ class TestErrors:
         assert err == (
             f"error: 'utf-8' codec can't decode byte 0xff in position 3: invalid start byte in {target}\n"
         )
+
+    def test_input_is_a_directory(self, capsys, mini_manifest, tmp_path):
+        code, out, err = run(
+            capsys, "classify", "--manifest", str(mini_manifest), "--input", str(tmp_path)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
+
+    def test_manifest_entry_is_a_directory(self, capsys, mini_manifest):
+        folder = mini_manifest.parent / "chapter"
+        folder.mkdir()
+        with mini_manifest.open("a", encoding="utf-8") as fh:
+            fh.write("2\tchapter\n")
+        code, out, err = run(capsys, "stats", "--manifest", str(mini_manifest))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(folder) in err
+
+    def test_unreadable_input(self, capsys, mini_manifest, monkeypatch):
+        # file modes do not stop root, so the denial is simulated
+        query = mini_manifest.parent / "query.txt"
+        query.write_text("olma", encoding="utf-8")
+        read_text = Path.read_text
+
+        def denied(path, *args, **kwargs):
+            if path == query:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        code, out, err = run(
+            capsys, "classify", "--manifest", str(mini_manifest), "--input", str(query)
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: [Errno 13] Permission denied: '{query}'\n"
+
+    def test_closed_stdout_is_a_one_line_error(self, mini_manifest):
+        src = Path(textgrade.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        script = "import sys; from textgrade.cli import main; sys.exit(main())"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "stats", "--manifest", str(mini_manifest)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": path},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1

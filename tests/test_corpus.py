@@ -153,6 +153,40 @@ class TestCorpusStats:
         assert stats.overall_unique <= sum(stats.unique_tokens.values())
 
 
+class TestIndex:
+    TEXTS = {
+        1: "olma nok olma",
+        2: "olma uzum anor uzum",
+        3: "nok daraxt",
+        4: "olma olma olma quyosh nok",
+    }
+
+    def test_rows_df_and_count_columns(self):
+        sequences = {g: tokenize(t) for g, t in self.TEXTS.items()}
+        corpus = GradedCorpus.from_token_sequences(sequences)
+        assert not any("types" in vars(seq) for seq in sequences.values())
+        assert len(corpus.rows) == corpus.stats.overall_unique == 6
+        assert sorted(corpus.rows.values()) == list(range(6))
+        assert len(corpus.df4) == 6 and all(len(column) == 6 for column in corpus.columns)
+        for term, row in corpus.rows.items():
+            counts = [sequences[g].counts[term] for g in GRADES]
+            assert [column[row] for column in corpus.columns] == counts
+            assert corpus.df4[row] == sum(map(bool, counts))
+        assert corpus.df4[corpus.rows["olma"]] == 3
+        assert corpus.columns[3][corpus.rows["olma"]] == 3
+        assert corpus.columns[0][corpus.rows["uzum"]] == 0
+
+    def test_square_sums_by_df(self):
+        sequences = {g: tokenize(t) for g, t in self.TEXTS.items()}
+        corpus = GradedCorpus.from_token_sequences(sequences)
+        for g in GRADES:
+            expected = [0] * 5
+            for term, count in sequences[g].counts.items():
+                expected[corpus.df4[corpus.rows[term]]] += count * count
+            assert corpus.squares4[g] == tuple(expected)
+        assert corpus.squares4[4] == (0, 1, 0, 9 + 1, 0)  # quyosh; olma and nok
+
+
 class TestVocabulary:
     def test_from_tokens_sorted_unique(self):
         vocab = Vocabulary.from_tokens(tokenize("olma nok olma behi"))

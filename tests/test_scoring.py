@@ -89,6 +89,23 @@ def test_matrix_matches_dense_n4_reference():
                     assert cell == matrix.cell(j, i)
 
 
+def test_classify_equals_pair_similarity_bit_for_bit():
+    # both paths add the same integers per df and weigh them alike, so a
+    # score drifting by one ulp shows a fault in the corpus index
+    scored = 0
+    for corpus, query in random_corpora(seed=14, count=300):
+        result = classify(" ".join(query.tokens), corpus)
+        coll = DocumentCollection(tuple(corpus.classes[g].tokens for g in GRADES) + (query,))
+        for g in GRADES:
+            if result.decision == CONTAINMENT and g == result.chosen_grade:
+                continue
+            pair = pair_similarity(query, corpus.classes[g], coll)
+            assert result.scores[g] == pair.score
+            assert result.shared_unique[g] == pair.shared_unique
+            scored += 1
+    assert scored > 900
+
+
 def test_same_bag_of_words_in_two_grades_ties_exactly():
     # grades 3 and 4 hold one bag of words in different orders; summing
     # squared weights in the counts' insertion order would let rounding

@@ -3,10 +3,10 @@ import re
 import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from textgrade.tokenizer import _REPLACE_LIMIT, CANONICAL_APOSTROPHE, concat, normalize, tokenize
+from textgrade.tokenizer import _REPLACE_LIMIT, CANONICAL_APOSTROPHE, normalize, tokenize
 
 APOSTROPHE_VARIANTS = ["'", "‘", "’", "ʻ", "ʼ", "`"]
 
@@ -79,10 +79,6 @@ class TestTokenSequence:
         assert seq.types == frozenset({"olma", "nok"})
         assert len(seq) == 3 and bool(seq)
 
-    def test_concat(self):
-        combined = concat([tokenize("olma nok"), tokenize("behi")])
-        assert combined.tokens == ("olma", "nok", "behi")
-
 
 class TestProperties:
     @given(st.text(max_size=200))
@@ -94,6 +90,13 @@ class TestProperties:
     @given(st.text(max_size=200))
     def test_deterministic(self, raw):
         assert tokenize(raw) == tokenize(raw)
+
+    @given(st.lists(st.text(max_size=60), max_size=4))
+    @example(["ΑΣ", "Σα", "́olma'", "'noḱ"])
+    def test_newline_join_gives_each_texts_tokens_in_turn(self, texts):
+        # build_corpus tokenizes a grade's files joined by a newline
+        joined = tokenize("\n".join(texts)).tokens
+        assert joined == tuple(token for text in texts for token in tokenize(text).tokens)
 
     @given(
         st.lists(st.sampled_from(["olma", "nok", "gʻoʻza", "behi"]), min_size=1, max_size=8),
