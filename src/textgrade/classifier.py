@@ -1,8 +1,8 @@
 """End-to-end grade assignment.
 
-A query is tokenized and first checked for vocabulary containment: the
-lowest grade whose vocabulary includes every query term wins outright
-with score 1 and is not scored. The other grades are scored by TF-IDF
+A query's terms are counted and first checked for vocabulary
+containment: the lowest grade whose vocabulary includes every query term
+wins outright with score 1 and is not scored. The other grades are scored by TF-IDF
 cosine over the collection of the four class documents plus the query
 (N = 5, see `scoring.query_similarities`), so reports always carry all
 four scores. Without containment the best-scoring grade is chosen,
@@ -17,7 +17,7 @@ from collections.abc import Iterable, Set
 from .corpus import GRADES, GradedCorpus
 from .errors import EmptyQueryError
 from .scoring import query_similarities
-from .tokenizer import tokenize
+from .tokenizer import count_terms
 
 CONTAINMENT = "containment"
 COSINE_ARGMAX = "cosine-argmax"
@@ -42,21 +42,22 @@ def containment_class(terms: Iterable[str], corpus: GradedCorpus) -> int | None:
     if not isinstance(terms, Set):
         terms = frozenset(terms)
     for grade in GRADES:
-        if corpus.classes[grade].tokens.counts.keys() >= terms:
+        if corpus.counts[grade].keys() >= terms:
             return grade
     return None
 
 
 def classify(raw_text: str, corpus: GradedCorpus) -> ClassificationResult:
     """Assign the query text to the most similar grade."""
-    query = tokenize(raw_text)
-    if not query:
+    counts = count_terms((raw_text,))
+    if not counts:
         raise EmptyQueryError("input text contains no tokens")
 
-    contained = containment_class(query.counts.keys(), corpus)
-    pairs = query_similarities(query, corpus, [g for g in GRADES if g != contained])
+    contained = containment_class(counts.keys(), corpus)
+    grades = [g for g in GRADES if g != contained]
+    pairs = query_similarities(counts, sum(counts.values()), corpus, grades)
     scores = {g: pairs[g].score if g in pairs else 1.0 for g in GRADES}
-    shared = {g: pairs[g].shared_unique if g in pairs else len(query.counts) for g in GRADES}
+    shared = {g: pairs[g].shared_unique if g in pairs else len(counts) for g in GRADES}
     if contained is not None:
         return ClassificationResult(contained, scores, CONTAINMENT, shared)
     # max keeps the first of equal scores, so ties go to the lowest grade

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, count
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -22,7 +23,7 @@ from .errors import (
     IncompleteCorpusError,
     ManifestError,
 )
-from .tokenizer import TokenSequence, tokenize
+from .tokenizer import TokenSequence, count_terms
 
 GRADES = (1, 2, 3, 4)
 
@@ -82,7 +83,8 @@ class GradedCorpus:
     """Immutable index of the four class documents. Treat as read-only;
     safe to share among concurrent readers.
 
-    Besides each grade's term counts and token total (`classes[g].tokens`),
+    It keeps each grade's term counts (`counts[g]`) and, in `stats`, its
+    token total, but no token order: TF-IDF reads neither. Beside them
     it holds what scoring needs from the corpus alone, term-major: `rows`
     gives each corpus term its row, `df4[row]` is the number of grades
     holding the term, and `columns[g - 1][row]` is its count in grade g,
@@ -91,7 +93,7 @@ class GradedCorpus:
     holds no IDF; scoring weighs it under N = 4 or 5.
     """
 
-    classes: dict[int, ClassDocument]
+    counts: dict[int, Counter[str]]
     stats: CorpusStats
     rows: dict[str, int]
     df4: tuple[int, ...]
@@ -99,25 +101,22 @@ class GradedCorpus:
     squares4: dict[int, tuple[int, ...]]
 
     @classmethod
-    def from_token_sequences(cls, sequences: Mapping[int, TokenSequence]) -> "GradedCorpus":
-        """Build a corpus directly from per-grade token sequences."""
-        if set(sequences) != set(GRADES):
-            raise ValueError(f"grades must be exactly {set(GRADES)}, got {set(sequences)}")
-        classes = {}
+    def from_counts(cls, counts: Mapping[int, Counter[str]]) -> "GradedCorpus":
+        """Build a corpus from each grade's term counts."""
+        if set(counts) != set(GRADES):
+            raise ValueError(f"grades must be exactly {set(GRADES)}, got {set(counts)}")
         for grade in GRADES:
-            seq = sequences[grade]
-            if not seq:
+            if not counts[grade]:
                 raise EmptyClassError(f"grade {grade} has no tokens")
-            classes[grade] = ClassDocument.from_tokens(grade, seq)
-        counts = [classes[g].tokens.counts for g in GRADES]
-        df = Counter(chain(*counts))
+        counts = {g: counts[g] for g in GRADES}  # in grade order, as the columns are
+        df = Counter(chain(*counts.values()))
         rows = dict(zip(df, count()))
         df4 = tuple(df.values())
         columns = []
         squares4 = {}
         # one pass over each grade's own terms fills its column and its
         # square sums; it beats C-level passes over every row of every column
-        for grade, grade_counts in zip(GRADES, counts):
+        for grade, grade_counts in counts.items():
             column = [0] * len(rows)
             sums = [0] * (len(GRADES) + 1)
             for term, n in grade_counts.items():
@@ -127,11 +126,25 @@ class GradedCorpus:
             columns.append(tuple(column))
             squares4[grade] = tuple(sums)
         stats = CorpusStats(
-            total_tokens={g: len(classes[g].tokens) for g in GRADES},
-            unique_tokens={g: len(c) for g, c in zip(GRADES, counts)},
+            total_tokens={g: sum(c.values()) for g, c in counts.items()},
+            unique_tokens={g: len(c) for g, c in counts.items()},
             overall_unique=len(rows),
         )
-        return cls(classes, stats, rows, df4, tuple(columns), squares4)
+        return cls(counts, stats, rows, df4, tuple(columns), squares4)
+
+    @classmethod
+    def from_token_sequences(cls, sequences: Mapping[int, TokenSequence]) -> "GradedCorpus":
+        """Build a corpus from per-grade token sequences; only their counts are kept."""
+        return cls.from_counts({g: seq.counts for g, seq in sequences.items()})
+
+    @cached_property
+    def classes(self) -> dict[int, ClassDocument]:
+        """Each grade as a class document, rebuilt from its counts on
+        first read. Its tokens come grouped by term, not in text order.
+        Scoring never reads it."""
+        return {
+            g: ClassDocument(g, TokenSequence(tuple(self.counts[g].elements()))) for g in GRADES
+        }
 
 
 def read_text(path: Path, encoding: str = "utf-8") -> str:
@@ -185,22 +198,20 @@ def load_manifest(path: str | Path) -> CorpusManifest:
 
 
 def build_corpus(manifest: CorpusManifest) -> GradedCorpus:
-    """Tokenize every manifest file and assemble the per-grade documents.
+    """Count the terms of every manifest file into the per-grade documents.
 
-    Files of one grade are joined by a newline in manifest order and
-    tokenized once; a newline separates words, so this gives the tokens
-    of each file in turn. Unreadable files raise OSError and files that
-    are not UTF-8 raise UnicodeDecodeError, both naming the path; a
-    grade whose files hold no tokens raises EmptyClassError.
+    A grade's files are read and counted one at a time in manifest
+    order; that gives the counts of their newline join, since a newline
+    separates words. Unreadable files raise OSError and files that are
+    not UTF-8 raise UnicodeDecodeError, both naming the path; a grade
+    whose files hold no tokens raises EmptyClassError.
     """
-    sequences = {
-        grade: tokenize(
-            "\n".join(
-                read_text(entry_path)
-                for entry_grade, entry_path in manifest.entries
-                if entry_grade == grade
-            )
+    counts = {
+        grade: count_terms(
+            read_text(entry_path)
+            for entry_grade, entry_path in manifest.entries
+            if entry_grade == grade
         )
         for grade in GRADES
     }
-    return GradedCorpus.from_token_sequences(sequences)
+    return GradedCorpus.from_counts(counts)

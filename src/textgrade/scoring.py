@@ -182,9 +182,10 @@ def pair_similarity(
 
 
 def query_similarities(
-    query: TokenSequence, corpus: GradedCorpus, grades: Iterable[int]
+    query: Mapping[str, int], total: int, corpus: GradedCorpus, grades: Iterable[int]
 ) -> dict[int, PairSimilarity]:
-    """Score a nonempty query against each of `grades` (N = 5).
+    """Score a nonempty query, given as its term counts and token total,
+    against each of `grades` (N = 5).
 
     The collection is the four class documents plus the query. One pass
     over the query's distinct terms looks each up once in `corpus.rows`;
@@ -203,7 +204,7 @@ def query_similarities(
     m1, m2, m3, m4 = moved
     s1 = s2 = s3 = s4 = 0
     # unrolled over the four grades: an inner loop would double the time
-    for term, count in query.counts.items():
+    for term, count in query.items():
         row = rows.get(term)
         if row is None:
             query_squares[1] += count * count
@@ -231,19 +232,20 @@ def query_similarities(
             m4[df] += other * other
             s4 += 1
     shared = (s1, s2, s3, s4)
-    query_norm = _weigh(query_squares, IDF5, len(query) ** 2)
+    query_norm = _weigh(query_squares, IDF5, total**2)
+    totals = corpus.stats.total_tokens
     pairs = {}
     for grade in grades:
-        doc = corpus.classes[grade].tokens
         into = moved[grade - 1]
         squares = [
             s + gained - lost
             for s, gained, lost in zip((*corpus.squares4[grade], 0), into, (*into[1:], 0))
         ]
-        norm = _weigh(squares, IDF5, len(doc) ** 2)
-        score = _cosine(products[grade - 1], IDF5, len(query) * len(doc), query_norm, norm)
+        norm = _weigh(squares, IDF5, totals[grade] ** 2)
+        score = _cosine(products[grade - 1], IDF5, total * totals[grade], query_norm, norm)
         common = shared[grade - 1]
-        pairs[grade] = PairSimilarity(score, common, len(query.counts) + len(doc.counts) - common)
+        vocab_size = len(query) + len(corpus.counts[grade]) - common
+        pairs[grade] = PairSimilarity(score, common, vocab_size)
     return pairs
 
 
@@ -258,8 +260,7 @@ def class_similarity_matrix(corpus: GradedCorpus) -> ClassSimilarityMatrix:
     other grade's count and the df from the term's row.
     """
     rows, df4, columns = corpus.rows, corpus.df4, corpus.columns
-    counts = {g: corpus.classes[g].tokens.counts for g in GRADES}
-    totals = {g: len(corpus.classes[g].tokens) for g in GRADES}
+    counts, totals = corpus.counts, corpus.stats.total_tokens
     norms = {g: _weigh(corpus.squares4[g], IDF4, totals[g] ** 2) for g in GRADES}
     cells = {(g, g): PairSimilarity(1.0, len(counts[g]), len(counts[g])) for g in GRADES}
     for i, j in itertools.combinations(GRADES, 2):

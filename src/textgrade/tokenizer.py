@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterator
+from typing import Iterable, Iterator
 
 CANONICAL_APOSTROPHE = "ʻ"
 
@@ -73,6 +73,22 @@ def normalize(raw: str) -> str:
     return text
 
 
+def _words(raw: str) -> list[str]:
+    """The letter runs of `normalize(raw)`, edge apostrophes not yet stripped.
+
+    Every distinct character that is neither a letter nor whitespace is
+    replaced by a space, then the text is split on whitespace.
+    """
+    text = normalize(raw)
+    separators = [ch for ch in set(text) if not (ch.isalpha() or ch.isspace())]
+    if len(separators) > _REPLACE_LIMIT:
+        text = text.translate(dict.fromkeys(map(ord, separators), " "))
+    else:
+        for ch in separators:
+            text = text.replace(ch, " ")
+    return text.split()
+
+
 def tokenize(raw: str) -> TokenSequence:
     """Split text into normalized tokens.
 
@@ -83,13 +99,26 @@ def tokenize(raw: str) -> TokenSequence:
     symbols) separate tokens and are discarded. Order and duplicates are
     kept.
     """
-    text = normalize(raw)
-    separators = [ch for ch in set(text) if not (ch.isalpha() or ch.isspace())]
-    if len(separators) > _REPLACE_LIMIT:
-        text = text.translate(dict.fromkeys(map(ord, separators), " "))
-    else:
-        for ch in separators:
-            text = text.replace(ch, " ")
-    tokens = tuple(filter(None, map(str.strip, text.split(), repeat(CANONICAL_APOSTROPHE))))
-    return TokenSequence(tokens)
+    tokens = filter(None, map(str.strip, _words(raw), repeat(CANONICAL_APOSTROPHE)))
+    return TokenSequence(tuple(tokens))
 
+
+def count_terms(texts: Iterable[str]) -> Counter[str]:
+    """Occurrences of each token of `texts`, taken one text at a time.
+
+    Equal to `Counter(tokenize(t).tokens)` summed over the texts, and so
+    to the counts of their newline join, without building a token tuple:
+    each text's letter runs are counted as they are, then only the
+    distinct runs with an edge apostrophe are stripped and merged.
+    """
+    counts: Counter[str] = Counter()
+    for raw in texts:
+        counts.update(_words(raw))
+        del raw  # the text is freed before the next one is read
+    edged = [w for w in counts if w[0] == CANONICAL_APOSTROPHE or w[-1] == CANONICAL_APOSTROPHE]
+    for word in edged:
+        n = counts.pop(word)
+        term = word.strip(CANONICAL_APOSTROPHE)
+        if term:
+            counts[term] += n
+    return counts

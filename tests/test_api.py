@@ -1,13 +1,23 @@
 """The public surface: `textgrade.__all__` and the names its users read."""
 
+import argparse
 import ast
 import functools
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import textgrade
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import spans  # noqa: E402
+import worker  # noqa: E402
+
+# Recorded by the bench harness around child processes, not by a worker.
+HARNESS_METRICS = ("cli.interpreter_ms", "cli.import_ms", "cli.process_ms.")
 
 
 def parse(relative):
@@ -53,3 +63,26 @@ def test_names_the_bench_worker_reads_exist():
         functools.reduce(getattr, chain.split("."), textgrade)
     for name in imported_from_textgrade(tree):
         assert hasattr(textgrade, name) or importlib.util.find_spec(f"textgrade.{name}"), name
+
+
+def test_bench_traced_replay_finds_every_part(mini_manifest):
+    # the traced bench replays classify and build_corpus through public
+    # names (corpus.classes among them); a part that is gone is filed
+    # under `absent` and its per-layer metrics silently drop out
+    query = mini_manifest.parent / "query.txt"
+    query.write_text("olma qor", encoding="utf-8")
+    args = argparse.Namespace(mode="probe", manifest=str(mini_manifest), input=str(query), trace=True)
+    job = worker.Job(args)
+    job.setup()
+    _, corpus, _ = job.load()
+    ops = [job.request(i, text, corpus) for i, text in enumerate(["olma qor", "olma nok"] * 2)]
+    for rep in range(2):
+        for cmd in spans.CLI_COMMANDS:
+            job.cli_main_decomposed(cmd, parts_first=rep % 2 == 1)
+    assert job.absent == {}
+    assert [op.get("decision") for op in ops] == ["cosine-argmax", "containment"] * 2
+    metrics = spans.layer_metrics(job.tracer.spans, [op["untraced_s"] for op in ops])
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    expected = {m["name"] for m in declared if not m["name"].startswith(HARNESS_METRICS)}
+    assert len(expected) == len(declared) - 5
+    assert expected <= metrics.keys()

@@ -8,6 +8,7 @@ import pytest
 
 import textgrade
 from textgrade.cli import OutputSpec, format_score, main
+from textgrade.tokenizer import TokenSequence
 
 
 def run(capsys, *argv):
@@ -183,15 +184,28 @@ class TestClassify:
 
 
 class TestReportBytes:
-    @pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
-    @pytest.mark.parametrize("command", ["stats", "classify", "matrix"])
-    def test_default_output_is_pinned(self, capsys, mixed_manifest, command, fmt):
-        argv = [command, "--manifest", str(mixed_manifest), "--format", fmt]
+    @staticmethod
+    def assert_pinned(capsys, manifest, command, fmt):
+        argv = [command, "--manifest", str(manifest), "--format", fmt]
         if command == "classify":
-            argv += ["--input", str(mixed_manifest.parent / "query.txt")]
+            argv += ["--input", str(manifest.parent / "query.txt")]
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
         assert out == (GOLDEN / f"{command}.{fmt}").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
+    @pytest.mark.parametrize("command", ["stats", "classify", "matrix"])
+    def test_default_output_is_pinned(self, capsys, mixed_manifest, command, fmt):
+        self.assert_pinned(capsys, mixed_manifest, command, fmt)
+
+    @pytest.mark.parametrize("command", ["stats", "classify", "matrix"])
+    def test_no_command_builds_a_token_sequence(self, capsys, monkeypatch, mixed_manifest, command):
+        # the corpus and the query are kept as term counts only
+        def forbidden(*args, **kwargs):
+            raise AssertionError("token sequence built on a command path")
+
+        monkeypatch.setattr(TokenSequence, "__init__", forbidden)
+        self.assert_pinned(capsys, mixed_manifest, command, "table")
 
 
 class TestErrors:

@@ -5,6 +5,7 @@ from textgrade import (
     GradedCorpus,
     Vocabulary,
     build_corpus,
+    class_similarity_matrix,
     load_manifest,
     tokenize,
 )
@@ -92,24 +93,26 @@ class TestBuildCorpus:
             tmp_path, {1: ["olma nok olma"], 2: ["b"], 3: ["c"], 4: ["d"]}
         )
         corpus = build_corpus(load_manifest(manifest))
-        doc = corpus.classes[1]
-        assert doc.tokens.tokens == ("olma", "nok", "olma")
-        assert doc.tokens.types == {"nok", "olma"}
+        assert corpus.counts[1] == {"olma": 2, "nok": 1}
         assert corpus.stats.total_tokens[1] == 3
         assert corpus.stats.unique_tokens[1] == 2
 
     def test_identical_files_give_identical_vocabularies(self, tmp_path):
         manifest = write_corpus(tmp_path, {g: ["olma nok"] for g in GRADES})
         corpus = build_corpus(load_manifest(manifest))
-        vocabs = {corpus.classes[g].tokens.types for g in GRADES}
+        vocabs = {frozenset(corpus.counts[g]) for g in GRADES}
         assert vocabs == {frozenset({"nok", "olma"})}
 
     def test_grade_files_concatenated_in_manifest_order(self, tmp_path):
-        manifest = write_corpus(
-            tmp_path, {1: ["olma nok", "behi"], 2: ["b"], 3: ["c"], 4: ["d"]}
-        )
+        # as if joined by a newline: a word cut at a file boundary stays
+        # two words, and apostrophes at a boundary are stripped as edges
+        files = ["olma no", "k behi'", "'olma"]
+        manifest = write_corpus(tmp_path, {1: files, 2: ["b"], 3: ["c"], 4: ["d"]})
         corpus = build_corpus(load_manifest(manifest))
-        assert corpus.classes[1].tokens.tokens == ("olma", "nok", "behi")
+        assert corpus.counts[1] == {"olma": 2, "no": 1, "k": 1, "behi": 1}
+        assert corpus.counts[1] == tokenize("\n".join(files)).counts
+        assert corpus.stats.total_tokens[1] == 5
+        assert corpus.stats.unique_tokens[1] == 4
 
     def test_missing_file_raises_oserror_with_path(self, tmp_path):
         manifest = write_corpus(tmp_path, {g: ["x"] for g in GRADES})
@@ -218,7 +221,7 @@ class TestDeterminism:
         union = set()
         for text in texts:
             union |= tokenize(text).types
-        assert corpus.classes[1].tokens.types == union
+        assert corpus.counts[1].keys() == union
 
     def test_file_order_within_grade_changes_nothing_but_token_order(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -227,9 +230,9 @@ class TestDeterminism:
         b = write_corpus(tmp_path / "b", {1: ["behi", "olma nok"], 2: ["b"], 3: ["c"], 4: ["d"]})
         corpus_a = build_corpus(load_manifest(a))
         corpus_b = build_corpus(load_manifest(b))
-        assert corpus_a.classes[1].tokens.types == corpus_b.classes[1].tokens.types
+        assert corpus_a.counts == corpus_b.counts
         assert corpus_a.stats == corpus_b.stats
-        assert corpus_a.classes[1].tokens.tokens != corpus_b.classes[1].tokens.tokens
+        assert class_similarity_matrix(corpus_a) == class_similarity_matrix(corpus_b)
 
 
 class TestManifestEncoding:

@@ -1,12 +1,19 @@
 import itertools
 import re
 import unicodedata
+from collections import Counter
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from textgrade.tokenizer import _REPLACE_LIMIT, CANONICAL_APOSTROPHE, normalize, tokenize
+from textgrade.tokenizer import (
+    _REPLACE_LIMIT,
+    CANONICAL_APOSTROPHE,
+    count_terms,
+    normalize,
+    tokenize,
+)
 
 APOSTROPHE_VARIANTS = ["'", "‘", "’", "ʻ", "ʼ", "`"]
 
@@ -175,3 +182,21 @@ class TestMatchesRegexReference:
         assert len(separators) == distinct + 1  # the digit 2 as well
         assert tokenize(raw).tokens == reference_tokens(raw)
         assert len(tokenize(raw)) == 3 * distinct
+
+
+class TestCountTerms:
+    # build_corpus and classify count terms without a token tuple
+    @given(MIXED_TEXT)
+    @example("'ʻ‘ olma' ’nok` ʼʼ oʻzbek ʻ'ʻ o‘ʼ x`")
+    def test_equals_counting_the_tokens(self, raw):
+        tokens = tokenize(raw).tokens
+        counts = count_terms([raw])
+        assert sorted(counts.items()) == sorted(Counter(tokens).items())
+        assert sum(counts.values()) == len(tokens)
+
+    @given(st.lists(MIXED_TEXT, max_size=4))
+    @example(["olma no", "k behi'", "'olma", "ʻ"])
+    @example(["ΑΣ", "Σα", "́olma'", "'noḱ"])
+    def test_texts_count_as_their_newline_join(self, texts):
+        counts = count_terms(texts)
+        assert sorted(counts.items()) == sorted(count_terms(["\n".join(texts)]).items())
