@@ -11,11 +11,11 @@ lowest grade winning ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Set
 
 from .corpus import GRADES, GradedCorpus
 from .errors import EmptyQueryError
+from .record import Record, setfield
 from .scoring import query_similarities
 from .tokenizer import count_terms
 
@@ -23,14 +23,22 @@ CONTAINMENT = "containment"
 COSINE_ARGMAX = "cosine-argmax"
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(Record):
     """Per-grade scores and the chosen grade with its decision path."""
 
-    chosen_grade: int
-    scores: dict[int, float]
-    decision: str
-    shared_unique: dict[int, int]
+    __slots__ = ("chosen_grade", "scores", "decision", "shared_unique")
+
+    def __init__(
+        self,
+        chosen_grade: int,
+        scores: dict[int, float],
+        decision: str,
+        shared_unique: dict[int, int],
+    ) -> None:
+        setfield(self, "chosen_grade", chosen_grade)
+        setfield(self, "scores", scores)
+        setfield(self, "decision", decision)
+        setfield(self, "shared_unique", shared_unique)
 
 
 def containment_class(terms: Iterable[str], corpus: GradedCorpus) -> int | None:

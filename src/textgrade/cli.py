@@ -6,22 +6,34 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from pathlib import Path
 
 from .classifier import ClassificationResult, classify
-from .corpus import GRADES, CorpusStats, GradedCorpus, build_corpus, load_manifest, read_text
+from .corpus import (
+    GRADES,
+    CorpusStats,
+    GradedCorpus,
+    build_corpus,
+    corpus_stats,
+    count_corpus,
+    load_manifest,
+    read_text,
+)
 from .errors import TextGradeError
+from .record import Record, setfield
 from .scoring import ClassSimilarityMatrix, class_similarity_matrix
 
 FORMATS = ("table", "tsv", "json")
 
 
-@dataclass(frozen=True)
-class OutputSpec:
-    format: str = "table"
-    precision: int = 2
+class OutputSpec(Record):
+    __slots__ = ("format", "precision")
+
+    def __init__(self, format: str = "table", precision: int = 2) -> None:
+        setfield(self, "format", format)
+        setfield(self, "precision", precision)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.format not in FORMATS:
@@ -85,7 +97,9 @@ def render_stats(stats: CorpusStats, output: OutputSpec) -> str:
 
 
 def cmd_stats(manifest_path: str | Path, output: OutputSpec) -> str:
-    return render_stats(_load(manifest_path).stats, output)
+    # the statistics need the term counts only, not the scoring index
+    stats, _ = corpus_stats(count_corpus(load_manifest(manifest_path)))
+    return render_stats(stats, output)
 
 
 # --- matrix ----------------------------------------------------------------

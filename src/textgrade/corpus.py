@@ -11,11 +11,10 @@ directory.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
 from functools import cached_property
 from itertools import chain, count
 from pathlib import Path
-from typing import Iterator, Mapping
 
 from .errors import (
     EmptyClassError,
@@ -23,16 +22,20 @@ from .errors import (
     IncompleteCorpusError,
     ManifestError,
 )
+from .record import Record, setfield
 from .tokenizer import TokenSequence, count_terms
 
 GRADES = (1, 2, 3, 4)
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(Record):
     """Distinct terms of a document in ascending code-point order."""
 
-    terms: tuple[str, ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[str, ...]) -> None:
+        setfield(self, "terms", terms)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for a, b in zip(self.terms, self.terms[1:]):
@@ -50,36 +53,65 @@ class Vocabulary:
         return iter(self.terms)
 
 
-@dataclass(frozen=True)
-class ClassDocument:
+class ClassDocument(Record):
     """One grade's concatenated text."""
 
-    grade: int
-    tokens: TokenSequence
+    __slots__ = ("grade", "tokens")
+
+    def __init__(self, grade: int, tokens: TokenSequence) -> None:
+        setfield(self, "grade", grade)
+        setfield(self, "tokens", tokens)
 
     @classmethod
     def from_tokens(cls, grade: int, seq: TokenSequence) -> "ClassDocument":
         return cls(grade, seq)
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(Record):
     """Token and type counts per grade plus the cross-grade type count."""
 
-    total_tokens: dict[int, int]
-    unique_tokens: dict[int, int]
-    overall_unique: int
+    __slots__ = ("total_tokens", "unique_tokens", "overall_unique")
+
+    def __init__(
+        self, total_tokens: dict[int, int], unique_tokens: dict[int, int], overall_unique: int
+    ) -> None:
+        setfield(self, "total_tokens", total_tokens)
+        setfield(self, "unique_tokens", unique_tokens)
+        setfield(self, "overall_unique", overall_unique)
 
 
-@dataclass(frozen=True)
-class CorpusManifest:
+class CorpusManifest(Record):
     """Validated (grade, path) entries; every grade 1-4 appears."""
 
-    entries: tuple[tuple[int, Path], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, Path], ...]) -> None:
+        setfield(self, "entries", entries)
 
 
-@dataclass(frozen=True)
-class GradedCorpus:
+def corpus_stats(counts: Mapping[int, Counter[str]]) -> tuple[CorpusStats, Counter[str]]:
+    """The statistics of each grade's term counts, and each term's
+    document frequency (the number of grades holding it) in first-seen
+    order, grade by grade.
+
+    Raises ValueError unless the grades are exactly 1-4, and
+    EmptyClassError for a grade without tokens.
+    """
+    if set(counts) != set(GRADES):
+        raise ValueError(f"grades must be exactly {set(GRADES)}, got {set(counts)}")
+    for grade in GRADES:
+        if not counts[grade]:
+            raise EmptyClassError(f"grade {grade} has no tokens")
+    df = Counter(chain(*(counts[g] for g in GRADES)))
+    stats = CorpusStats(
+        total_tokens={g: sum(counts[g].values()) for g in GRADES},
+        unique_tokens={g: len(counts[g]) for g in GRADES},
+        overall_unique=len(df),
+    )
+    return stats, df
+
+
+class GradedCorpus(Record):
     """Immutable index of the four class documents. Treat as read-only;
     safe to share among concurrent readers.
 
@@ -93,23 +125,29 @@ class GradedCorpus:
     holds no IDF; scoring weighs it under N = 4 or 5.
     """
 
-    counts: dict[int, Counter[str]]
-    stats: CorpusStats
-    rows: dict[str, int]
-    df4: tuple[int, ...]
-    columns: tuple[tuple[int, ...], ...]
-    squares4: dict[int, tuple[int, ...]]
+    __slots__ = ("counts", "stats", "rows", "df4", "columns", "squares4", "__dict__")
+
+    def __init__(
+        self,
+        counts: dict[int, Counter[str]],
+        stats: CorpusStats,
+        rows: dict[str, int],
+        df4: tuple[int, ...],
+        columns: tuple[tuple[int, ...], ...],
+        squares4: dict[int, tuple[int, ...]],
+    ) -> None:
+        setfield(self, "counts", counts)
+        setfield(self, "stats", stats)
+        setfield(self, "rows", rows)
+        setfield(self, "df4", df4)
+        setfield(self, "columns", columns)
+        setfield(self, "squares4", squares4)
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, Counter[str]]) -> "GradedCorpus":
         """Build a corpus from each grade's term counts."""
-        if set(counts) != set(GRADES):
-            raise ValueError(f"grades must be exactly {set(GRADES)}, got {set(counts)}")
-        for grade in GRADES:
-            if not counts[grade]:
-                raise EmptyClassError(f"grade {grade} has no tokens")
+        stats, df = corpus_stats(counts)
         counts = {g: counts[g] for g in GRADES}  # in grade order, as the columns are
-        df = Counter(chain(*counts.values()))
         rows = dict(zip(df, count()))
         df4 = tuple(df.values())
         columns = []
@@ -125,11 +163,6 @@ class GradedCorpus:
                 sums[df4[row]] += n * n
             columns.append(tuple(column))
             squares4[grade] = tuple(sums)
-        stats = CorpusStats(
-            total_tokens={g: sum(c.values()) for g, c in counts.items()},
-            unique_tokens={g: len(c) for g, c in counts.items()},
-            overall_unique=len(rows),
-        )
         return cls(counts, stats, rows, df4, tuple(columns), squares4)
 
     @classmethod
@@ -197,16 +230,15 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     return CorpusManifest(tuple(entries))
 
 
-def build_corpus(manifest: CorpusManifest) -> GradedCorpus:
-    """Count the terms of every manifest file into the per-grade documents.
+def count_corpus(manifest: CorpusManifest) -> dict[int, Counter[str]]:
+    """Count the terms of every manifest file into per-grade counts.
 
     A grade's files are read and counted one at a time in manifest
     order; that gives the counts of their newline join, since a newline
     separates words. Unreadable files raise OSError and files that are
-    not UTF-8 raise UnicodeDecodeError, both naming the path; a grade
-    whose files hold no tokens raises EmptyClassError.
+    not UTF-8 raise UnicodeDecodeError, both naming the path.
     """
-    counts = {
+    return {
         grade: count_terms(
             read_text(entry_path)
             for entry_grade, entry_path in manifest.entries
@@ -214,4 +246,10 @@ def build_corpus(manifest: CorpusManifest) -> GradedCorpus:
         )
         for grade in GRADES
     }
-    return GradedCorpus.from_counts(counts)
+
+
+def build_corpus(manifest: CorpusManifest) -> GradedCorpus:
+    """Count the terms of every manifest file into the per-grade
+    documents (`count_corpus`) and index them; a grade whose files hold
+    no tokens raises EmptyClassError."""
+    return GradedCorpus.from_counts(count_corpus(manifest))

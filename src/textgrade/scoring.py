@@ -30,12 +30,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 from .corpus import GRADES, ClassDocument, GradedCorpus, Vocabulary
 from .errors import VocabularyMismatchError, ZeroVectorError
+from .record import Record, setfield
 from .tokenizer import TokenSequence
 
 
@@ -54,11 +54,14 @@ IDF4 = _idf_table(len(GRADES))
 IDF5 = _idf_table(len(GRADES) + 1)
 
 
-@dataclass(frozen=True)
-class DocumentCollection:
+class DocumentCollection(Record):
     """The reference collection over which document frequencies are taken."""
 
-    docs: tuple[TokenSequence, ...]
+    __slots__ = ("docs", "__dict__")
+
+    def __init__(self, docs: tuple[TokenSequence, ...]) -> None:
+        setfield(self, "docs", docs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.docs:
@@ -76,12 +79,15 @@ class DocumentCollection:
         return Counter(itertools.chain(*(doc.counts for doc in self.docs)))
 
 
-@dataclass(frozen=True)
-class WeightedVector:
+class WeightedVector(Record):
     """Nonnegative TF-IDF coordinates aligned to a vocabulary."""
 
-    vocab: Vocabulary
-    coords: tuple[float, ...]
+    __slots__ = ("vocab", "coords")
+
+    def __init__(self, vocab: Vocabulary, coords: tuple[float, ...]) -> None:
+        setfield(self, "vocab", vocab)
+        setfield(self, "coords", coords)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.coords) != len(self.vocab):
@@ -90,20 +96,24 @@ class WeightedVector:
             )
 
 
-@dataclass(frozen=True)
-class PairSimilarity:
+class PairSimilarity(Record):
     """Similarity of one (query, class) pair."""
 
-    score: float
-    shared_unique: int
-    pair_vocab_size: int
+    __slots__ = ("score", "shared_unique", "pair_vocab_size")
+
+    def __init__(self, score: float, shared_unique: int, pair_vocab_size: int) -> None:
+        setfield(self, "score", score)
+        setfield(self, "shared_unique", shared_unique)
+        setfield(self, "pair_vocab_size", pair_vocab_size)
 
 
-@dataclass(frozen=True)
-class ClassSimilarityMatrix:
+class ClassSimilarityMatrix(Record):
     """4x4 grid of pairwise class similarities, indexed by grade."""
 
-    cells: tuple[tuple[PairSimilarity, ...], ...]
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: tuple[tuple[PairSimilarity, ...], ...]) -> None:
+        setfield(self, "cells", cells)
 
     def cell(self, row_grade: int, col_grade: int) -> PairSimilarity:
         return self.cells[row_grade - 1][col_grade - 1]

@@ -5,6 +5,7 @@ import ast
 import functools
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,6 +54,19 @@ def test_exports_cover_the_acceptance_imports():
     imported = imported_from_textgrade(parse("tests/test_acceptance.py"))
     assert imported
     assert imported <= set(textgrade.__all__)
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
+    # every CLI call imports the package first; without site, nothing
+    # else the CLI imports loads these three modules
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import textgrade.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_names_the_bench_worker_reads_exist():

@@ -8,6 +8,7 @@ import pytest
 
 import textgrade
 from textgrade.cli import OutputSpec, format_score, main
+from textgrade.corpus import GradedCorpus
 from textgrade.tokenizer import TokenSequence
 
 
@@ -207,6 +208,15 @@ class TestReportBytes:
         monkeypatch.setattr(TokenSequence, "__init__", forbidden)
         self.assert_pinned(capsys, mixed_manifest, command, "table")
 
+    @pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
+    def test_stats_builds_no_index(self, capsys, monkeypatch, mixed_manifest, fmt):
+        # the statistics come from the term counts alone
+        def forbidden(*args, **kwargs):
+            raise AssertionError("corpus index built for stats")
+
+        monkeypatch.setattr(GradedCorpus, "from_counts", forbidden)
+        self.assert_pinned(capsys, mixed_manifest, "stats", fmt)
+
 
 class TestErrors:
     def test_missing_manifest(self, capsys, tmp_path):
@@ -229,6 +239,18 @@ class TestErrors:
         code, out, err = run(capsys, "stats", "--manifest", str(mini_manifest))
         assert code == 1 and out == ""
         assert err.startswith(f"error: {mini_manifest}:5: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["stats", "classify", "matrix"])
+    def test_grade_without_tokens(self, capsys, mini_manifest, command):
+        (mini_manifest.parent / "class-2.txt").write_text("123 !!!", encoding="utf-8")
+        query = mini_manifest.parent / "query.txt"
+        query.write_text("olma", encoding="utf-8")
+        argv = [command, "--manifest", str(mini_manifest)]
+        if command == "classify":
+            argv += ["--input", str(query)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: grade 2 has no tokens\n"
 
     def test_empty_query_file(self, capsys, mini_manifest, tmp_path):
         query = tmp_path / "query.txt"

@@ -200,3 +200,36 @@ class TestCountTerms:
     def test_texts_count_as_their_newline_join(self, texts):
         counts = count_terms(texts)
         assert sorted(counts.items()) == sorted(count_terms(["\n".join(texts)]).items())
+
+
+# Characters that st.text() never draws or rarely draws: lone surrogates
+# (category Cs, which UTF-8 cannot encode), every C0 control, DEL, and
+# whitespace outside ASCII (next line, no-break, ogham, line separator,
+# ideographic). The separator scan of `tokenize` reads a text's UTF-8
+# bytes, so these are where it could part from the reference.
+UNDRAWN = (
+    ["\ud800", "\udfff"]
+    + [chr(c) for c in range(0x20)]
+    + ["\x7f", "\x85", "\xa0", "\u1680", "\u2028", "\u3000"]
+)
+
+# Any character, lone surrogates included.
+TEXT_WITH_SURROGATES = st.text(
+    alphabet=st.one_of(st.characters(categories=["Cs"]), st.characters(codec="utf-8")),
+    max_size=80,
+)
+
+
+class TestCharactersTextLeavesOut:
+    @pytest.mark.parametrize("ch", UNDRAWN, ids=lambda ch: f"U+{ord(ch):04X}")
+    def test_between_words(self, ch):
+        raw = f"Olma{ch}nok 5{ch}oʻzbek{ch}{ch}МАКТАБ,{ch}'x{ch}"
+        assert tokenize(raw).tokens == reference_tokens(raw)
+        assert count_terms([raw]) == Counter(reference_tokens(raw))
+
+    @given(TEXT_WITH_SURROGATES)
+    @example("a\ud800b")
+    @example("\udfff\ud800a\udc00")
+    def test_text_with_lone_surrogates(self, raw):
+        assert tokenize(raw).tokens == reference_tokens(raw)
+        assert count_terms([raw]) == Counter(reference_tokens(raw))
