@@ -3,9 +3,9 @@
 The corpus is four logical documents, one per school grade 1-4, each the
 concatenation of that grade's plain-text files as listed in a manifest.
 A manifest is UTF-8 text, with or without a byte-order mark, holding
-one `<grade><TAB><path>` entry per line; blank lines and lines starting
-with '#' are ignored. Relative paths are resolved against the manifest's
-directory.
+one `<grade><TAB><path>` entry per line, ending at LF, CR or CRLF only;
+blank lines and lines starting with '#' are ignored. Relative paths are
+resolved against the manifest's directory.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
     IncompleteCorpusError,
     ManifestError,
 )
-from .record import Record, setfield
+from .record import Record
 from .tokenizer import TokenSequence, count_terms
 
 GRADES = (1, 2, 3, 4)
@@ -32,10 +32,6 @@ class Vocabulary(Record):
     """Distinct terms of a document in ascending code-point order."""
 
     __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[str, ...]) -> None:
-        setfield(self, "terms", terms)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         for a, b in zip(self.terms, self.terms[1:]):
@@ -58,10 +54,6 @@ class ClassDocument(Record):
 
     __slots__ = ("grade", "tokens")
 
-    def __init__(self, grade: int, tokens: TokenSequence) -> None:
-        setfield(self, "grade", grade)
-        setfield(self, "tokens", tokens)
-
     @classmethod
     def from_tokens(cls, grade: int, seq: TokenSequence) -> "ClassDocument":
         return cls(grade, seq)
@@ -72,21 +64,11 @@ class CorpusStats(Record):
 
     __slots__ = ("total_tokens", "unique_tokens", "overall_unique")
 
-    def __init__(
-        self, total_tokens: dict[int, int], unique_tokens: dict[int, int], overall_unique: int
-    ) -> None:
-        setfield(self, "total_tokens", total_tokens)
-        setfield(self, "unique_tokens", unique_tokens)
-        setfield(self, "overall_unique", overall_unique)
-
 
 class CorpusManifest(Record):
     """Validated (grade, path) entries; every grade 1-4 appears."""
 
     __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[int, Path], ...]) -> None:
-        setfield(self, "entries", entries)
 
 
 def corpus_stats(counts: Mapping[int, Counter[str]]) -> tuple[CorpusStats, Counter[str]]:
@@ -126,22 +108,6 @@ class GradedCorpus(Record):
     """
 
     __slots__ = ("counts", "stats", "rows", "df4", "columns", "squares4", "__dict__")
-
-    def __init__(
-        self,
-        counts: dict[int, Counter[str]],
-        stats: CorpusStats,
-        rows: dict[str, int],
-        df4: tuple[int, ...],
-        columns: tuple[tuple[int, ...], ...],
-        squares4: dict[int, tuple[int, ...]],
-    ) -> None:
-        setfield(self, "counts", counts)
-        setfield(self, "stats", stats)
-        setfield(self, "rows", rows)
-        setfield(self, "df4", df4)
-        setfield(self, "columns", columns)
-        setfield(self, "squares4", squares4)
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, Counter[str]]) -> "GradedCorpus":
@@ -201,7 +167,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     base = path.parent
     entries: list[tuple[int, Path]] = []
     seen: set[tuple[int, Path]] = set()
-    for lineno, line in enumerate(read_text(path, "utf-8-sig").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, "utf-8-sig").split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

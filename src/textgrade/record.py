@@ -1,10 +1,12 @@
 """Frozen value records, built without `dataclasses`.
 
-A record class lists its fields in `__slots__`, in constructor order,
-with "__dict__" after them when it caches a property. Its own `__init__`
-writes each field with `setfield`, as a frozen dataclass's generated
-`__init__` does. `Record` adds the rest of `@dataclass(frozen=True)`:
-the `Name(field=value, ...)` repr, equality and hashing by field values
+A record class lists its fields once, in `__slots__`, in constructor
+order, with "__dict__" after them when it caches a property. Unless it
+writes its own, it gets an `__init__` generated from them as a frozen
+dataclass gets one: a parameter per field, each written with
+`setfield`, then `self.__post_init__()` if the class defines it.
+`Record` adds the rest of `@dataclass(frozen=True)`: the
+`Name(field=value, ...)` repr, equality and hashing by field values
 within one type, and AttributeError on assignment or deletion.
 Importing `dataclasses` (which imports `inspect`) and generating those
 methods took longer than importing the rest of the package.
@@ -15,6 +17,20 @@ from __future__ import annotations
 setfield = object.__setattr__
 
 
+def _generated_init(cls: type):
+    """`__init__(self, <each field of cls>)` writing each field, compiled once."""
+    fields = cls.__match_args__
+    lines = [f"def __init__(self, {', '.join(fields)}):"]
+    lines += [f"    setfield(self, {name!r}, {name})" for name in fields]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    namespace: dict = {}
+    exec("\n".join(lines), {"setfield": setfield}, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 class Record:
     """Base of the package's immutable records; fields come from `__slots__`."""
 
@@ -22,8 +38,10 @@ class Record:
     __match_args__: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        own = cls.__dict__.get("__slots__", ())
-        cls.__match_args__ += tuple(name for name in own if name != "__dict__")
+        own = tuple(name for name in cls.__dict__.get("__slots__", ()) if name != "__dict__")
+        cls.__match_args__ += own
+        if own and "__init__" not in cls.__dict__:
+            cls.__init__ = _generated_init(cls)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)

@@ -30,12 +30,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 
-from .corpus import GRADES, ClassDocument, GradedCorpus, Vocabulary
+from .corpus import GRADES, ClassDocument, GradedCorpus
 from .errors import VocabularyMismatchError, ZeroVectorError
-from .record import Record, setfield
+from .record import Record
 from .tokenizer import TokenSequence
 
 
@@ -59,10 +59,6 @@ class DocumentCollection(Record):
 
     __slots__ = ("docs", "__dict__")
 
-    def __init__(self, docs: tuple[TokenSequence, ...]) -> None:
-        setfield(self, "docs", docs)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if not self.docs:
             raise ValueError("collection must hold at least one document")
@@ -84,11 +80,6 @@ class WeightedVector(Record):
 
     __slots__ = ("vocab", "coords")
 
-    def __init__(self, vocab: Vocabulary, coords: tuple[float, ...]) -> None:
-        setfield(self, "vocab", vocab)
-        setfield(self, "coords", coords)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if len(self.coords) != len(self.vocab):
             raise ValueError(
@@ -101,19 +92,11 @@ class PairSimilarity(Record):
 
     __slots__ = ("score", "shared_unique", "pair_vocab_size")
 
-    def __init__(self, score: float, shared_unique: int, pair_vocab_size: int) -> None:
-        setfield(self, "score", score)
-        setfield(self, "shared_unique", shared_unique)
-        setfield(self, "pair_vocab_size", pair_vocab_size)
-
 
 class ClassSimilarityMatrix(Record):
     """4x4 grid of pairwise class similarities, indexed by grade."""
 
     __slots__ = ("cells",)
-
-    def __init__(self, cells: tuple[tuple[PairSimilarity, ...], ...]) -> None:
-        setfield(self, "cells", cells)
 
     def cell(self, row_grade: int, col_grade: int) -> PairSimilarity:
         return self.cells[row_grade - 1][col_grade - 1]
@@ -192,17 +175,19 @@ def pair_similarity(
 
 
 def query_similarities(
-    query: Mapping[str, int], total: int, corpus: GradedCorpus, grades: Iterable[int]
-) -> dict[int, PairSimilarity]:
+    query: Mapping[str, int], total: int, corpus: GradedCorpus
+) -> tuple[dict[int, float], dict[int, int]]:
     """Score a nonempty query, given as its term counts and token total,
-    against each of `grades` (N = 5).
+    against each grade (N = 5): each grade's cosine score, and the number
+    of the query's distinct terms it holds.
 
     The collection is the four class documents plus the query. One pass
     over the query's distinct terms looks each up once in `corpus.rows`;
     its df is its df4 plus one. For each grade holding the term, the
     pass adds the count product to that df's bucket, counts the term as
     shared, and notes that the grade's square of it moves from its
-    stored bucket `squares4[df4]` to df4 + 1.
+    stored bucket `squares4[df4]` to df4 + 1. A term outside the corpus
+    is shared with no grade.
     """
     rows, df4 = corpus.rows, corpus.df4
     c1, c2, c3, c4 = corpus.columns
@@ -241,22 +226,17 @@ def query_similarities(
             p4[df] += count * other
             m4[df] += other * other
             s4 += 1
-    shared = (s1, s2, s3, s4)
     query_norm = _weigh(query_squares, IDF5, total**2)
     totals = corpus.stats.total_tokens
-    pairs = {}
-    for grade in grades:
-        into = moved[grade - 1]
+    scores = {}
+    for grade, into, grade_products in zip(GRADES, moved, products):
         squares = [
             s + gained - lost
             for s, gained, lost in zip((*corpus.squares4[grade], 0), into, (*into[1:], 0))
         ]
         norm = _weigh(squares, IDF5, totals[grade] ** 2)
-        score = _cosine(products[grade - 1], IDF5, total * totals[grade], query_norm, norm)
-        common = shared[grade - 1]
-        vocab_size = len(query) + len(corpus.counts[grade]) - common
-        pairs[grade] = PairSimilarity(score, common, vocab_size)
-    return pairs
+        scores[grade] = _cosine(grade_products, IDF5, total * totals[grade], query_norm, norm)
+    return scores, dict(zip(GRADES, (s1, s2, s3, s4)))
 
 
 def class_similarity_matrix(corpus: GradedCorpus) -> ClassSimilarityMatrix:

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import repeat
 
-from .record import Record, setfield
+from .record import Record
 
 CANONICAL_APOSTROPHE = "ʻ"
 
@@ -43,9 +43,6 @@ class TokenSequence(Record):
     """Ordered tokens of one document."""
 
     __slots__ = ("tokens", "__dict__")
-
-    def __init__(self, tokens: tuple[str, ...]) -> None:
-        setfield(self, "tokens", tokens)
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -37,6 +37,27 @@ class TestContainment:
     def test_later_grade_found(self, mini_corpus):
         assert containment_class(vocab("uzum", "anor"), mini_corpus) == 2
 
+    def test_classify_decides_containment_as_the_helper_does(self):
+        # classify reads containment off its scoring pass; the helper tests
+        # vocabulary inclusion directly, and the two must name the same grade
+        rng = random.Random(11)
+        contained = 0
+        for case in range(120):
+            classes, query = random_case(rng)
+            if case % 3 == 0:
+                query = query + ["qzz"]  # outside every corpus alphabet
+            corpus = GradedCorpus.from_token_sequences(
+                {g: tokenize(" ".join(tokens)) for g, tokens in classes.items()}
+            )
+            expected = containment_class(tokenize(" ".join(query)).types, corpus)
+            result = classify(" ".join(query), corpus)
+            assert (result.decision == CONTAINMENT) == (expected is not None)
+            if expected is not None:
+                contained += 1
+                assert result.chosen_grade == expected
+                assert result.scores[expected] == 1.0
+        assert 0 < contained < 120
+
 
 class TestClassify:
     def test_cosine_path_scores(self, mini_corpus):

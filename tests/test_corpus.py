@@ -86,6 +86,38 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match="duplicate"):
             load_manifest(manifest)
 
+    @pytest.mark.parametrize(
+        "text, names, error",
+        [
+            pytest.param(
+                "1\ta\n2\tb\n# page\x0cbreak\n3\tc\n4\td\n",
+                ["a", "b", "c", "d"],
+                None,
+                id="form-feed-in-comment",
+            ),
+            pytest.param(
+                "1\ta\n\x0c\n2\tb\n3\tc\n4\td\nnot a data line\n",
+                None,
+                r"m\.tsv:6: expected",
+                id="form-feed-line-keeps-line-numbers",
+            ),
+            pytest.param(
+                "1\ta\n2\tb\n3\tc\n4\tpage\u2028two.txt\n",
+                ["a", "b", "c", "page\u2028two.txt"],
+                None,
+                id="line-separator-in-file-name",
+            ),
+        ],
+    )
+    def test_lines_break_only_at_line_feeds(self, tmp_path, text, names, error):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(text, encoding="utf-8")
+        if error:
+            with pytest.raises(ManifestError, match=error):
+                load_manifest(manifest)
+        else:
+            assert [path.name for _, path in load_manifest(manifest).entries] == names
+
 
 class TestBuildCorpus:
     def test_tokens_vocabulary_and_counts(self, tmp_path):
