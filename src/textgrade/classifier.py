@@ -10,7 +10,7 @@ containment the best-scoring grade is chosen, lowest grade winning ties.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Set
+from collections.abc import Iterable
 
 from .corpus import GRADES, GradedCorpus
 from .errors import EmptyQueryError
@@ -31,14 +31,16 @@ class ClassificationResult(Record):
 def containment_class(terms: Iterable[str], corpus: GradedCorpus) -> int | None:
     """Smallest grade whose vocabulary contains every one of `terms`, if any.
 
-    A set or a dict's keys are tested as they are; other iterables are
-    collected into a frozenset first. `classify` reads the same grade off
-    its scoring pass's shared-term counts.
+    A term outside `corpus.rows` means no grade; otherwise the lowest
+    grade whose count column is nonzero at all their rows wins, grade 1
+    for no terms. `classify` reads the same grade off its scoring pass's
+    shared-term counts.
     """
-    if not isinstance(terms, Set):
-        terms = frozenset(terms)
-    for grade in GRADES:
-        if corpus.counts[grade].keys() >= terms:
+    found = {corpus.rows.get(term) for term in terms}
+    if None in found:
+        return None
+    for grade, column in zip(GRADES, corpus.columns):
+        if all(map(column.__getitem__, found)):
             return grade
     return None
 

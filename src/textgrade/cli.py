@@ -26,6 +26,11 @@ from .scoring import ClassSimilarityMatrix, class_similarity_matrix
 
 FORMATS = ("table", "tsv", "json")
 
+# The shortest repr of a double in [0, 1] has no digit past the 324th
+# decimal place (5e-324 is the least positive double), so more places
+# would only add zeros.
+MAX_PRECISION = 324
+
 
 class OutputSpec(Record):
     __slots__ = ("format", "precision")
@@ -38,16 +43,17 @@ class OutputSpec(Record):
     def __post_init__(self) -> None:
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
-        if self.precision < 1:
-            raise ValueError("precision must be >= 1")
+        if not 1 <= self.precision <= MAX_PRECISION:
+            raise ValueError(f"precision must be from 1 to {MAX_PRECISION}")
 
 
 def format_score(value: float, precision: int) -> str:
-    """Render a score with half-away-from-zero rounding."""
+    """Render a score in fixed point with half-away-from-zero rounding."""
     quantum = Decimal(1).scaleb(-precision)
     with localcontext() as ctx:
         ctx.prec = max(28, precision + 10)
-        return str(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+        # format "f", not str: str writes a small or zero score as "0E-7"
+        return format(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP), "f")
 
 
 def _json_score(value: float, precision: int) -> float:
@@ -203,8 +209,8 @@ def _positive_precision(value: str) -> int:
         precision = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"precision must be an integer, got {value!r}") from None
-    if precision < 1:
-        raise argparse.ArgumentTypeError("precision must be >= 1")
+    if not 1 <= precision <= MAX_PRECISION:
+        raise argparse.ArgumentTypeError(f"precision must be from 1 to {MAX_PRECISION}")
     return precision
 
 
@@ -214,7 +220,7 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
         "--precision",
         type=_positive_precision,
         default=2,
-        help="decimal places for scores (default 2)",
+        help=f"decimal places for scores, 1 to {MAX_PRECISION} (default 2)",
     )
 
 
@@ -257,13 +263,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         print(report)
         sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # the reader is gone; the flush at exit would fail again unless stdout
-        # points at devnull
+    except OSError as exc:
+        # a closed pipe or a full device; the flush at exit would fail again
+        # unless stdout points at devnull
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print(f"error: standard output closed: {exc}", file=sys.stderr)
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain, compress, count, repeat
 from pathlib import Path
 
 from .errors import (
@@ -97,39 +97,38 @@ class GradedCorpus(Record):
     """Immutable index of the four class documents. Treat as read-only;
     safe to share among concurrent readers.
 
-    It keeps each grade's term counts (`counts[g]`) and, in `stats`, its
-    token total, but no token order: TF-IDF reads neither. Beside them
-    it holds what scoring needs from the corpus alone, term-major: `rows`
-    gives each corpus term its row, `df4[row]` is the number of grades
-    holding the term, and `columns[g - 1][row]` is its count in grade g,
-    0 where g lacks it. `squares4` holds, per grade, the sums of its
-    terms' squared counts indexed by df4. All of it is integers, so it
-    holds no IDF; scoring weighs it under N = 4 or 5.
+    It holds what scoring needs from the corpus, term-major, and nothing
+    else: `rows` gives each corpus term its row, `df4[row]` is the number
+    of grades holding the term, and `columns[g - 1][row]` is its count in
+    grade g, 0 where g lacks it. `squares4` holds, per grade, the sums of
+    its terms' squared counts indexed by df4, and `stats` each grade's
+    token total and distinct-term count. No token order is kept: TF-IDF
+    reads none. All of it is integers, so it holds no IDF; scoring weighs
+    it under N = 4 or 5.
     """
 
-    __slots__ = ("counts", "stats", "rows", "df4", "columns", "squares4", "__dict__")
+    __slots__ = ("stats", "rows", "df4", "columns", "squares4", "__dict__")
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, Counter[str]]) -> "GradedCorpus":
-        """Build a corpus from each grade's term counts."""
+        """Build a corpus from each grade's term counts, keeping only its index."""
         stats, df = corpus_stats(counts)
-        counts = {g: counts[g] for g in GRADES}  # in grade order, as the columns are
         rows = dict(zip(df, count()))
         df4 = tuple(df.values())
         columns = []
         squares4 = {}
         # one pass over each grade's own terms fills its column and its
         # square sums; it beats C-level passes over every row of every column
-        for grade, grade_counts in counts.items():
+        for grade in GRADES:
             column = [0] * len(rows)
             sums = [0] * (len(GRADES) + 1)
-            for term, n in grade_counts.items():
+            for term, n in counts[grade].items():
                 row = rows[term]
                 column[row] = n
                 sums[df4[row]] += n * n
             columns.append(tuple(column))
             squares4[grade] = tuple(sums)
-        return cls(counts, stats, rows, df4, tuple(columns), squares4)
+        return cls(stats, rows, df4, tuple(columns), squares4)
 
     @classmethod
     def from_token_sequences(cls, sequences: Mapping[int, TokenSequence]) -> "GradedCorpus":
@@ -138,12 +137,14 @@ class GradedCorpus(Record):
 
     @cached_property
     def classes(self) -> dict[int, ClassDocument]:
-        """Each grade as a class document, rebuilt from its counts on
-        first read. Its tokens come grouped by term, not in text order.
-        Scoring never reads it."""
-        return {
-            g: ClassDocument(g, TokenSequence(tuple(self.counts[g].elements()))) for g in GRADES
-        }
+        """Each grade as a class document rebuilt from its column on first read,
+        tokens grouped by term in row order; scoring never reads it."""
+        classes = {}
+        for grade, column in zip(GRADES, self.columns):
+            # each term the grade holds, repeated by its count, in row order
+            runs = map(repeat, compress(self.rows, column), filter(None, column))
+            classes[grade] = ClassDocument(grade, TokenSequence(tuple(chain.from_iterable(runs))))
+        return classes
 
 
 def read_text(path: Path, encoding: str = "utf-8") -> str:

@@ -246,26 +246,20 @@ def class_similarity_matrix(corpus: GradedCorpus) -> ClassSimilarityMatrix:
     the four class documents, with no query involved. Each off-diagonal
     pair is scored once and mirrored, so the matrix is exactly symmetric;
     a diagonal cell is 1 with the class's vocabulary size as its count.
-    A pair walks the terms of the grade with fewer of them and reads the
-    other grade's count and the df from the term's row.
+    A pair walks the two grades' count columns side by side with df4,
+    adding the product of each row both grades hold to that df's bucket.
     """
-    rows, df4, columns = corpus.rows, corpus.df4, corpus.columns
-    counts, totals = corpus.counts, corpus.stats.total_tokens
+    df4, columns = corpus.df4, corpus.columns
+    totals, unique = corpus.stats.total_tokens, corpus.stats.unique_tokens
     norms = {g: _weigh(corpus.squares4[g], IDF4, totals[g] ** 2) for g in GRADES}
-    cells = {(g, g): PairSimilarity(1.0, len(counts[g]), len(counts[g])) for g in GRADES}
+    cells = {(g, g): PairSimilarity(1.0, unique[g], unique[g]) for g in GRADES}
     for i, j in itertools.combinations(GRADES, 2):
-        small, large = sorted((i, j), key=lambda g: len(counts[g]))
-        column = columns[large - 1]
         products = [0] * len(IDF4)
         shared = 0
-        for term, count in counts[small].items():
-            row = rows[term]
-            other = column[row]
-            if other:
-                products[df4[row]] += count * other
+        for df, a, b in zip(df4, columns[i - 1], columns[j - 1]):
+            if a and b:
+                products[df] += a * b
                 shared += 1
         score = _cosine(products, IDF4, totals[j] * totals[i], norms[j], norms[i])
-        cells[i, j] = cells[j, i] = PairSimilarity(
-            score, shared, len(counts[i]) + len(counts[j]) - shared
-        )
+        cells[i, j] = cells[j, i] = PairSimilarity(score, shared, unique[i] + unique[j] - shared)
     return ClassSimilarityMatrix(tuple(tuple(cells[i, j] for j in GRADES) for i in GRADES))

@@ -37,6 +37,14 @@ class TestContainment:
     def test_later_grade_found(self, mini_corpus):
         assert containment_class(vocab("uzum", "anor"), mini_corpus) == 2
 
+    def test_one_shot_generator(self, mini_corpus):
+        assert containment_class((t for t in ("uzum", "anor", "uzum")), mini_corpus) == 2
+        assert containment_class((t for t in ("olma", "qor")), mini_corpus) is None
+
+    def test_no_terms_are_contained_in_grade_one(self, mini_corpus):
+        assert containment_class(iter(()), mini_corpus) == 1
+        assert containment_class([], mini_corpus) == 1
+
     def test_classify_decides_containment_as_the_helper_does(self):
         # classify reads containment off its scoring pass; the helper tests
         # vocabulary inclusion directly, and the two must name the same grade

@@ -63,9 +63,16 @@ class TestFormatScore:
     def test_large_precision(self):
         assert format_score(0.5, 40) == "0.5" + "0" * 39
 
+    def test_small_scores_print_in_fixed_point(self):
+        assert format_score(0.0, 7) == "0.0000000"
+        assert format_score(1e-9, 17) == "0.00000000100000000"
+        assert format_score(5e-324, 324) == "0." + "0" * 323 + "5"
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             OutputSpec("table", 0)
+        with pytest.raises(ValueError):
+            OutputSpec("table", 325)
         with pytest.raises(ValueError):
             OutputSpec("xml", 2)
 
@@ -266,6 +273,20 @@ class TestErrors:
             main(["stats", "--manifest", str(mini_manifest), "--precision", "0"])
         assert excinfo.value.code == 2
 
+    def test_precision_above_the_last_digit_is_usage_error(self, capsys, mini_manifest):
+        # 5e-324 is the least positive double: 324 places print every digit
+        code, out, _ = run(
+            capsys, "matrix", "--manifest", str(mini_manifest), "--format", "tsv",
+            "--precision", "324",
+        )
+        assert code == 0
+        scores = [line.split("\t")[2] for line in out.splitlines()[1:]]
+        assert len(scores) == 16 and all(len(score) == len("0.") + 324 for score in scores)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["matrix", "--manifest", str(mini_manifest), "--precision", "325"])
+        assert excinfo.value.code == 2
+        assert "precision must be from 1 to 324" in capsys.readouterr().err
+
     def test_unknown_format_is_usage_error(self, capsys, mini_manifest):
         with pytest.raises(SystemExit) as excinfo:
             main(["stats", "--manifest", str(mini_manifest), "--format", "xml"])
@@ -326,23 +347,37 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err == f"error: [Errno 13] Permission denied: '{query}'\n"
 
-    def test_closed_stdout_is_a_one_line_error(self, mini_manifest):
+    @staticmethod
+    def stats_writing_to(fd, mini_manifest):
+        """The exit code and stderr of `textgrade stats` in a fresh process
+        whose stdout is `fd`; closes `fd`."""
         src = Path(textgrade.__file__).resolve().parents[1]
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         script = "import sys; from textgrade.cli import main; sys.exit(main())"
-        read_end, write_end = os.pipe()
-        os.close(read_end)
         try:
             proc = subprocess.run(
                 [sys.executable, "-c", script, "stats", "--manifest", str(mini_manifest)],
-                stdout=write_end,
+                stdout=fd,
                 stderr=subprocess.PIPE,
                 env={**os.environ, "PYTHONPATH": path},
                 timeout=60,
             )
         finally:
-            os.close(write_end)
-        err = proc.stderr.decode()
-        assert proc.returncode == 1
+            os.close(fd)
+        return proc.returncode, proc.stderr.decode()
+
+    def test_closed_stdout_is_a_one_line_error(self, mini_manifest):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        code, err = self.stats_writing_to(write_end, mini_manifest)
+        assert code == 1
         assert "Traceback" not in err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: cannot write standard output: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_full_stdout_is_a_one_line_error(self, mini_manifest):
+        code, err = self.stats_writing_to(os.open("/dev/full", os.O_WRONLY), mini_manifest)
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: cannot write standard output: ") and err.count("\n") == 1
+        assert "No space left on device" in err

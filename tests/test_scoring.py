@@ -87,6 +87,8 @@ def test_matrix_matches_dense_n4_reference():
                 else:
                     assert abs(cell.score - score) <= TOLERANCE
                     assert cell == matrix.cell(j, i)
+                    # the same integers per df as pair_similarity, so the same bits
+                    assert cell.score == pair_similarity(docs[j - 1], corpus.classes[i], coll).score
 
 
 def test_classify_equals_pair_similarity_bit_for_bit():
