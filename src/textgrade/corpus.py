@@ -10,6 +10,7 @@ resolved against the manifest's directory.
 
 from __future__ import annotations
 
+import codecs
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from functools import cached_property
@@ -26,6 +27,10 @@ from .record import Record
 from .tokenizer import TokenSequence, count_terms
 
 GRADES = (1, 2, 3, 4)
+
+# Corpus files are read in binary blocks of this many bytes and decoded
+# one block at a time, so that counting never holds a whole file.
+_BLOCK = 1 << 16
 
 
 class Vocabulary(Record):
@@ -157,6 +162,51 @@ def read_text(path: Path, encoding: str = "utf-8") -> str:
         ) from None
 
 
+class _FileDecodeError(UnicodeDecodeError):
+    """A decoding error whose `start` and `end` are offsets in a file, and
+    whose `object` holds only the undecodable bytes, not the whole file.
+    The message is the one the codec gives when it decodes the file whole.
+    """
+
+    def __str__(self) -> str:
+        if self.end - self.start == 1:
+            where = f"byte 0x{self.object[0]:02x} in position {self.start}"
+        else:
+            where = f"bytes in position {self.start}-{self.end - 1}"
+        return f"'{self.encoding}' codec can't decode {where}: {self.reason}"
+
+
+def _decoded_blocks(path: Path) -> Iterator[str]:
+    """The text of a UTF-8 file, decoded block by block.
+
+    A decoding error names the file and the offset of the bad bytes in
+    it, in the words of `read_text`. A byte-order mark is kept, as
+    `read_text` keeps it, and CR is not translated: every CR and LF is
+    whitespace to the tokenizer either way.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    read = 0
+    with open(path, "rb") as fh:
+        while True:
+            # the decoder's input starts with the bytes it held back last time
+            start = read - len(decoder.getstate()[0])
+            block = fh.read(_BLOCK)
+            read += len(block)
+            try:
+                text = decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                raise _FileDecodeError(
+                    exc.encoding,
+                    exc.object[exc.start : exc.end],
+                    start + exc.start,
+                    start + exc.end,
+                    f"{exc.reason} in {path}",
+                ) from None
+            yield text
+            if not block:
+                return
+
+
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Parse a manifest file into validated entries.
 
@@ -202,12 +252,14 @@ def count_corpus(manifest: CorpusManifest) -> dict[int, Counter[str]]:
 
     A grade's files are read and counted one at a time in manifest
     order; that gives the counts of their newline join, since a newline
-    separates words. Unreadable files raise OSError and files that are
-    not UTF-8 raise UnicodeDecodeError, both naming the path.
+    separates words. Each file is streamed in blocks and counted in
+    pieces (`tokenizer.count_terms`), so memory holds a few blocks of
+    text beside the counts. Unreadable files raise OSError and files
+    that are not UTF-8 raise UnicodeDecodeError, both naming the path.
     """
     return {
         grade: count_terms(
-            read_text(entry_path)
+            _decoded_blocks(entry_path)
             for entry_grade, entry_path in manifest.entries
             if entry_grade == grade
         )

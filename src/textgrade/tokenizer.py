@@ -33,6 +33,11 @@ _OTHER_APOSTROPHES = "'‘’ʼ`"
 # characters to reach the limit.
 _REPLACE_LIMIT = 256
 
+# Texts are counted in pieces cut from blocks of this many characters
+# (`_pieces`), so that counting a long text holds the normalized copies
+# and the word list of one piece at a time, not of the whole text.
+_PIECE = 1 << 16
+
 # The ASCII characters that are letters or whitespace, so never separators.
 # Deleting them from a text's UTF-8 bytes leaves every separator it holds
 # in about a tenth of the text, on the benchmark's School-sized corpus.
@@ -118,18 +123,53 @@ def tokenize(raw: str) -> TokenSequence:
     return TokenSequence(tuple(tokens))
 
 
-def count_terms(texts: Iterable[str]) -> Counter[str]:
+def _pieces(blocks: Iterable[str]) -> Iterator[str]:
+    """The concatenation of `blocks`, in pieces that each end just after
+    the last ASCII space or LF of a block, or at the end of the text.
+
+    A piece is the rest of one block and the head of the next, unless
+    blocks with neither character come between: those are held and
+    joined once, so a whitespace-free text is one piece. Counting the
+    pieces one by one counts the whole text, because a cut after
+    whitespace changes no token: NFC composes nothing with whitespace,
+    the final-sigma rule of `str.lower` looks only across case-ignorable
+    characters, which whitespace is not, and no word spans whitespace.
+    """
+    held: list[str] = []
+    for block in blocks:
+        cut = max(block.rfind(" "), block.rfind("\n")) + 1
+        if cut:
+            held.append(block[:cut])
+            yield "".join(held)
+            held = [block[cut:]]
+        else:
+            held.append(block)
+    yield "".join(held)
+
+
+def count_terms(texts: Iterable[str | Iterable[str]]) -> Counter[str]:
     """Occurrences of each token of `texts`, taken one text at a time.
 
-    Equal to `Counter(tokenize(t).tokens)` summed over the texts, and so
-    to the counts of their newline join, without building a token tuple:
-    each text's letter runs are counted as they are, then only the
-    distinct runs with an edge apostrophe are stripped and merged.
+    A text is a `str`, or an iterable of `str` blocks that concatenate
+    to it, such as a file being decoded. Equal to `Counter(tokenize(t).tokens)`
+    summed over the texts, and so to the counts of their newline join,
+    without building a token tuple: a text longer than `_PIECE`
+    characters, and every text given in blocks, is counted in pieces
+    (`_pieces`). The letter runs of each piece are counted as they are,
+    then only the distinct runs with an edge apostrophe are stripped and
+    merged.
     """
     counts: Counter[str] = Counter()
-    for raw in texts:
-        counts.update(_words(raw))
-        del raw  # the text is freed before the next one is read
+    for text in texts:
+        if not isinstance(text, str):
+            pieces = _pieces(text)
+        elif len(text) > _PIECE:
+            pieces = _pieces(text[i : i + _PIECE] for i in range(0, len(text), _PIECE))
+        else:
+            pieces = (text,)
+        for piece in pieces:
+            counts.update(_words(piece))
+        del text, pieces  # a text is freed before the next one is read
     edged = [w for w in counts if w[0] == CANONICAL_APOSTROPHE or w[-1] == CANONICAL_APOSTROPHE]
     for word in edged:
         n = counts.pop(word)

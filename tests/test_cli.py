@@ -292,6 +292,16 @@ class TestErrors:
             main(["stats", "--manifest", str(mini_manifest), "--format", "xml"])
         assert excinfo.value.code == 2
 
+    # corpus files are decoded in 64 KiB blocks, yet every offset is in the
+    # file: past the first block, in a sequence split across two blocks,
+    # and in a sequence cut short at the end of the file
+    UNDECODABLE = [
+        (b"ok \xff bad", "byte 0xff in position 3: invalid start byte"),
+        (b"olma " * 20_000 + b"\xff", "byte 0xff in position 100000: invalid start byte"),
+        (b"a" * 65_535 + b"\xe2\x82(", "bytes in position 65535-65536: invalid continuation byte"),
+        (b"olma " * 20_000 + b"\xe2\x82", "bytes in position 100000-100001: unexpected end of data"),
+    ]
+
     @pytest.mark.parametrize("bad", ["corpus", "manifest", "input"])
     def test_undecodable_file_is_named(self, capsys, mini_manifest, bad):
         target = {
@@ -300,16 +310,15 @@ class TestErrors:
             "input": mini_manifest.parent / "query.txt",
         }[bad]
         (mini_manifest.parent / "query.txt").write_text("olma", encoding="utf-8")
-        target.write_bytes(b"ok \xff bad")
-        code, out, err = run(
-            capsys,
-            "classify", "--manifest", str(mini_manifest),
-            "--input", str(mini_manifest.parent / "query.txt"),
-        )
-        assert code == 1 and out == ""
-        assert err == (
-            f"error: 'utf-8' codec can't decode byte 0xff in position 3: invalid start byte in {target}\n"
-        )
+        for content, where in self.UNDECODABLE:
+            target.write_bytes(content)
+            code, out, err = run(
+                capsys,
+                "classify", "--manifest", str(mini_manifest),
+                "--input", str(mini_manifest.parent / "query.txt"),
+            )
+            assert code == 1 and out == ""
+            assert err == f"error: 'utf-8' codec can't decode {where} in {target}\n"
 
     def test_input_is_a_directory(self, capsys, mini_manifest, tmp_path):
         code, out, err = run(

@@ -1,4 +1,11 @@
+import random
+import time
+import tracemalloc
+from unittest import mock
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from textgrade import (
     GRADES,
@@ -9,12 +16,15 @@ from textgrade import (
     load_manifest,
     tokenize,
 )
+from textgrade import corpus
+from textgrade.corpus import _decoded_blocks, count_corpus, read_text
 from textgrade.errors import (
     EmptyClassError,
     GradeRangeError,
     IncompleteCorpusError,
     ManifestError,
 )
+from textgrade.tokenizer import count_terms
 
 
 def write_corpus(tmp_path, texts_by_grade):
@@ -282,3 +292,86 @@ class TestManifestEncoding:
         entries = load_manifest(manifest).entries
         assert [path.name for _, path in entries] == [f"g{g}-0.txt" for g in GRADES]
         assert build_corpus(load_manifest(manifest)).stats.total_tokens == {g: 1 for g in GRADES}
+
+
+# Text whose UTF-8 has one- to four-byte sequences, a BOM, CR, LF, CRLF
+# and the sigmas, so that tiny blocks split sequences and line ends.
+FILE_TEXT = st.lists(
+    st.sampled_from(list("aOΣσςİмактабʻ’5 \u0301") + ["\r", "\n", "\r\n", "\ufeff", "\u3000", "😀"]),
+    max_size=80,
+).map("".join)
+
+# Bytes that are UTF-8 in places: stray continuation and start bytes,
+# truncated sequences, encoded surrogates, overlong forms.
+FILE_BYTES = st.lists(
+    st.one_of(
+        FILE_TEXT.map(lambda text: text.encode("utf-8")),
+        st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf4\x90"]),
+    ),
+    max_size=4,
+).map(b"".join)
+
+
+def read_in_blocks(path, size):
+    with mock.patch.object(corpus, "_BLOCK", size):
+        return count_terms([_decoded_blocks(path)])
+
+
+def outcome(count):
+    """The counts `count()` returns, or the position and message of the
+    decoding error it raises."""
+    try:
+        return count()
+    except UnicodeDecodeError as exc:
+        return exc.start, exc.end, str(exc)
+
+
+class TestReadInBlocks:
+    # corpus files are streamed: read in binary blocks and decoded incrementally
+
+    @given(FILE_TEXT, st.integers(1, 8))
+    @example("\ufeffolma\r\nnok😀Σ\r\n", 1)
+    def test_counts_equal_the_whole_file(self, tmp_path_factory, text, size):
+        path = tmp_path_factory.mktemp("blocks") / "text.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_in_blocks(path, size) == count_terms([read_text(path)])
+
+    @given(FILE_BYTES, st.integers(1, 8))
+    @example(b"ok \xe2\x82", 4)
+    @example(b"olma \xe2\x82\xac\xff", 6)
+    def test_decode_errors_equal_the_whole_file(self, tmp_path_factory, data, size):
+        path = tmp_path_factory.mktemp("blocks") / "bytes.txt"
+        path.write_bytes(data)
+        got = outcome(lambda: read_in_blocks(path, size))
+        assert got == outcome(lambda: count_terms([read_text(path)]))
+
+    def test_whitespace_free_file_counts_whole_in_linear_time(self, tmp_path):
+        # about 4 MB with tabs but no space or LF: read whole at the
+        # default block size, and in 16-byte blocks joined once
+        path = tmp_path / "tabs.txt"
+        path.write_text("Olma,\tnok\u3000мактаб\r" * 150_000, encoding="utf-8")
+        expected = count_terms([read_text(path)])
+        assert count_terms([_decoded_blocks(path)]) == expected
+        started = time.perf_counter()
+        assert read_in_blocks(path, 16) == expected
+        assert time.perf_counter() - started < 5
+
+    def test_memory_stays_far_below_the_file_size(self, tmp_path):
+        rng = random.Random(0)
+        letters = "abdeghiklmnoqrstuvxyzʻ"
+        words = ["".join(rng.choices(letters, k=rng.randint(10, 20))) for _ in range(2000)]
+        paragraph = " ".join(rng.choices(words + ["мактаб", "O'zbek", "Gʻoʻza,"], k=20_000))
+        big = tmp_path / "big.txt"
+        big.write_text(f"{paragraph}\n" * 24, encoding="utf-8")
+        assert big.stat().st_size > 7_500_000
+        manifest = write_corpus(tmp_path, {g: ["olma"] for g in GRADES})
+        with manifest.open("a", encoding="utf-8") as fh:
+            fh.write("1\tbig.txt\n")
+        tracemalloc.start()
+        try:
+            counts = count_corpus(load_manifest(manifest))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(counts[1].values()) == 24 * 20_000 + 1
+        assert peak < 4_000_000

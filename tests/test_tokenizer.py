@@ -1,12 +1,15 @@
 import itertools
 import re
+import time
 import unicodedata
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from textgrade import tokenizer
 from textgrade.tokenizer import (
     _REPLACE_LIMIT,
     CANONICAL_APOSTROPHE,
@@ -233,3 +236,45 @@ class TestCharactersTextLeavesOut:
     def test_text_with_lone_surrogates(self, raw):
         assert tokenize(raw).tokens == reference_tokens(raw)
         assert count_terms([raw]) == Counter(reference_tokens(raw))
+
+
+# Where a cut after whitespace could change a token if the cut were
+# wrong: combining marks that NFC composes or lowercasing keeps, the
+# sigmas whose lowercase depends on their neighbours, İ, every line
+# break and unusual space, every apostrophe variant, Cyrillic, digits
+# and lone surrogates.
+PIECE_UNITS = (
+    list("aeiOΣσςİМактабё05 ") + ["\u0301", "\u0307"] + APOSTROPHE_VARIANTS
+    + ["\r", "\n", "\r\n", "\u2028", "\u00a0", "\u3000", "\ud800", "\udfff"]
+)
+PIECE_TEXT = st.lists(st.sampled_from(PIECE_UNITS), max_size=120).map("".join)
+
+
+class TestPieces:
+    # count_terms counts long texts, and texts given in blocks, in pieces
+    @given(PIECE_TEXT, st.integers(1, 64))
+    @example("aΣ a\u0301Σ\u0307 ς\r\nİ'a", 3)
+    def test_piece_sizes_count_as_the_whole_text(self, raw, size):
+        with mock.patch.object(tokenizer, "_PIECE", size):
+            counts = count_terms([raw])
+        assert counts == Counter(tokenize(raw).tokens)
+
+    @given(PIECE_TEXT, st.lists(st.integers(0, 120), max_size=12))
+    @example("olma nok", [2, 2, 2])
+    def test_blocks_count_as_their_concatenation(self, raw, cuts):
+        bounds = [0, *sorted(cuts), len(raw)]
+        blocks = [raw[a:b] for a, b in zip(bounds, bounds[1:])]
+        assert count_terms([iter(blocks)]) == Counter(tokenize(raw).tokens)
+
+    def test_whitespace_free_text_is_one_piece_in_linear_time(self):
+        # tabs separate words but are no cut point; blocks of 16
+        # characters make a join per block cost minutes over 2 MB
+        raw = "Olma,\tnok\u3000мактаб\t" * 100_000
+        with mock.patch.object(tokenizer, "_PIECE", 16):
+            assert list(tokenizer._pieces([raw[i : i + 16] for i in range(0, 64, 16)])) == [raw[:64]]
+            started = time.perf_counter()
+            counts = count_terms([raw])
+            elapsed = time.perf_counter() - started
+        assert counts == {"olma": 100_000, "nok": 100_000, "мактаб": 100_000}
+        assert count_terms([raw]) == counts
+        assert elapsed < 5
