@@ -31,16 +31,16 @@ class ClassificationResult(Record):
 def containment_class(terms: Iterable[str], corpus: GradedCorpus) -> int | None:
     """Smallest grade whose vocabulary contains every one of `terms`, if any.
 
-    A term outside `corpus.rows` means no grade; otherwise the lowest
-    grade whose count column is nonzero at all their rows wins, grade 1
-    for no terms. `classify` reads the same grade off its scoring pass's
+    A term outside `corpus.terms` means no grade; otherwise the lowest
+    grade whose count is nonzero in all their rows wins, grade 1 for no
+    terms. `classify` reads the same grade off its scoring pass's
     shared-term counts.
     """
-    found = {corpus.rows.get(term) for term in terms}
+    found = set(map(corpus.terms.get, terms))
     if None in found:
         return None
-    for grade, column in zip(GRADES, corpus.columns):
-        if all(map(column.__getitem__, found)):
+    for grade in GRADES:
+        if all(row[grade] for row in found):
             return grade
     return None
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from decimal import ROUND_HALF_UP, Decimal, localcontext
@@ -60,6 +59,12 @@ def _json_score(value: float, precision: int) -> float:
     return float(format_score(value, precision))
 
 
+def _json(payload: dict) -> str:
+    import json  # imported on first use: a table or tsv report never needs it
+
+    return json.dumps(payload, ensure_ascii=False, indent=2)
+
+
 def _table(rows: list[tuple[str, ...]]) -> str:
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
@@ -97,7 +102,7 @@ def render_stats(stats: CorpusStats, output: OutputSpec) -> str:
             ],
             "overall_unique": stats.overall_unique,
         }
-        return json.dumps(payload, ensure_ascii=False, indent=2)
+        return _json(payload)
     rows = _stats_rows(stats)
     return _tsv(rows) if output.format == "tsv" else _table(rows)
 
@@ -125,7 +130,7 @@ def render_matrix(matrix: ClassSimilarityMatrix, output: OutputSpec) -> str:
                 for row in matrix.cells
             ],
         }
-        return json.dumps(payload, ensure_ascii=False, indent=2)
+        return _json(payload)
     if output.format == "tsv":
         rows = [("row_grade", "col_grade", "score", "shared_unique")]
         for i in GRADES:
@@ -166,7 +171,7 @@ def render_classification(result: ClassificationResult, output: OutputSpec) -> s
             "chosen_grade": result.chosen_grade,
             "decision": result.decision,
         }
-        return json.dumps(payload, ensure_ascii=False, indent=2)
+        return _json(payload)
     if output.format == "tsv":
         rows = [("grade", "score", "shared_unique", "chosen_grade", "decision")]
         for g in GRADES:

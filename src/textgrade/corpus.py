@@ -14,7 +14,7 @@ import codecs
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from functools import cached_property
-from itertools import chain, compress, count, repeat
+from itertools import chain, repeat, tee
 from pathlib import Path
 
 from .errors import (
@@ -102,38 +102,37 @@ class GradedCorpus(Record):
     """Immutable index of the four class documents. Treat as read-only;
     safe to share among concurrent readers.
 
-    It holds what scoring needs from the corpus, term-major, and nothing
-    else: `rows` gives each corpus term its row, `df4[row]` is the number
-    of grades holding the term, and `columns[g - 1][row]` is its count in
-    grade g, 0 where g lacks it. `squares4` holds, per grade, the sums of
-    its terms' squared counts indexed by df4, and `stats` each grade's
-    token total and distinct-term count. No token order is kept: TF-IDF
-    reads none. All of it is integers, so it holds no IDF; scoring weighs
-    it under N = 4 or 5.
+    It holds what scoring needs from the corpus and nothing else: `terms`
+    maps each corpus term, in first-seen order, to its row
+    `(df4, c1, c2, c3, c4)`, where df4 is the number of grades holding
+    the term and `row[g]` its count in grade g, 0 where g lacks it; terms
+    with equal rows share one tuple. `squares4` holds, per grade, the sums of its terms' squared counts
+    indexed by df4, and `stats` each grade's token total and
+    distinct-term count. No token order is kept: TF-IDF reads none. All
+    of it is integers, so it holds no IDF; scoring weighs it under N = 4
+    or 5.
     """
 
-    __slots__ = ("stats", "rows", "df4", "columns", "squares4", "__dict__")
+    __slots__ = ("stats", "terms", "squares4", "__dict__")
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, Counter[str]]) -> "GradedCorpus":
         """Build a corpus from each grade's term counts, keeping only its index."""
         stats, df = corpus_stats(counts)
-        rows = dict(zip(df, count()))
-        df4 = tuple(df.values())
-        columns = []
-        squares4 = {}
-        # one pass over each grade's own terms fills its column and its
-        # square sums; it beats C-level passes over every row of every column
-        for grade in GRADES:
-            column = [0] * len(rows)
-            sums = [0] * (len(GRADES) + 1)
-            for term, n in counts[grade].items():
-                row = rows[term]
-                column[row] = n
-                sums[df4[row]] += n * n
-            columns.append(tuple(column))
-            squares4[grade] = tuple(sums)
-        return cls(stats, rows, df4, tuple(columns), squares4)
+        columns = (map(counts[g].get, df, repeat(0)) for g in GRADES)
+        # equal rows share one tuple (`setdefault` of each row to itself):
+        # many terms have equal rows, so the rows take few cache lines
+        rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+        terms = dict(zip(df, map(rows.setdefault, *tee(zip(df.values(), *columns)))))
+        # each distinct row is weighed once, times the number of its terms
+        sums = [[0] * (len(GRADES) + 1) for _ in GRADES]
+        s1, s2, s3, s4 = sums
+        for (df4, a, b, c, d), k in Counter(terms.values()).items():
+            s1[df4] += k * a * a
+            s2[df4] += k * b * b
+            s3[df4] += k * c * c
+            s4[df4] += k * d * d
+        return cls(stats, terms, dict(zip(GRADES, map(tuple, sums))))
 
     @classmethod
     def from_token_sequences(cls, sequences: Mapping[int, TokenSequence]) -> "GradedCorpus":
@@ -142,12 +141,12 @@ class GradedCorpus(Record):
 
     @cached_property
     def classes(self) -> dict[int, ClassDocument]:
-        """Each grade as a class document rebuilt from its column on first read,
+        """Each grade as a class document rebuilt from the rows on first read,
         tokens grouped by term in row order; scoring never reads it."""
         classes = {}
-        for grade, column in zip(GRADES, self.columns):
+        for grade in GRADES:
             # each term the grade holds, repeated by its count, in row order
-            runs = map(repeat, compress(self.rows, column), filter(None, column))
+            runs = (repeat(term, row[grade]) for term, row in self.terms.items())
             classes[grade] = ClassDocument(grade, TokenSequence(tuple(chain.from_iterable(runs))))
         return classes
 

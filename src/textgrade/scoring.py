@@ -182,15 +182,14 @@ def query_similarities(
     of the query's distinct terms it holds.
 
     The collection is the four class documents plus the query. One pass
-    over the query's distinct terms looks each up once in `corpus.rows`;
-    its df is its df4 plus one. For each grade holding the term, the
-    pass adds the count product to that df's bucket, counts the term as
-    shared, and notes that the grade's square of it moves from its
+    over the query's distinct terms looks each up once in `corpus.terms`;
+    its df is its row's df4 plus one. For each grade holding the term,
+    the pass adds the count product to that df's bucket, counts the term
+    as shared, and notes that the grade's square of it moves from its
     stored bucket `squares4[df4]` to df4 + 1. A term outside the corpus
-    is shared with no grade.
+    has df 1 and is shared with no grade.
     """
-    rows, df4 = corpus.rows, corpus.df4
-    c1, c2, c3, c4 = corpus.columns
+    terms = corpus.terms
     size = len(IDF5)
     query_squares = [0] * size
     products = [[0] * size for _ in GRADES]
@@ -200,31 +199,28 @@ def query_similarities(
     s1 = s2 = s3 = s4 = 0
     # unrolled over the four grades: an inner loop would double the time
     for term, count in query.items():
-        row = rows.get(term)
+        row = terms.get(term)
         if row is None:
             query_squares[1] += count * count
             continue
-        df = df4[row] + 1
+        df, a, b, c, d = row
+        df += 1
         query_squares[df] += count * count
-        other = c1[row]
-        if other:
-            p1[df] += count * other
-            m1[df] += other * other
+        if a:
+            p1[df] += count * a
+            m1[df] += a * a
             s1 += 1
-        other = c2[row]
-        if other:
-            p2[df] += count * other
-            m2[df] += other * other
+        if b:
+            p2[df] += count * b
+            m2[df] += b * b
             s2 += 1
-        other = c3[row]
-        if other:
-            p3[df] += count * other
-            m3[df] += other * other
+        if c:
+            p3[df] += count * c
+            m3[df] += c * c
             s3 += 1
-        other = c4[row]
-        if other:
-            p4[df] += count * other
-            m4[df] += other * other
+        if d:
+            p4[df] += count * d
+            m4[df] += d * d
             s4 += 1
     query_norm = _weigh(query_squares, IDF5, total**2)
     totals = corpus.stats.total_tokens
@@ -246,20 +242,23 @@ def class_similarity_matrix(corpus: GradedCorpus) -> ClassSimilarityMatrix:
     the four class documents, with no query involved. Each off-diagonal
     pair is scored once and mirrored, so the matrix is exactly symmetric;
     a diagonal cell is 1 with the class's vocabulary size as its count.
-    A pair walks the two grades' count columns side by side with df4,
-    adding the product of each row both grades hold to that df's bucket.
+    Many terms share one row of `corpus.terms`, so a pair walks the
+    distinct rows, each with the number k of terms holding it: a row
+    both grades hold adds k times its count product to its df4's bucket
+    and k to the shared count.
     """
-    df4, columns = corpus.df4, corpus.columns
+    rows = Counter(corpus.terms.values())
     totals, unique = corpus.stats.total_tokens, corpus.stats.unique_tokens
     norms = {g: _weigh(corpus.squares4[g], IDF4, totals[g] ** 2) for g in GRADES}
     cells = {(g, g): PairSimilarity(1.0, unique[g], unique[g]) for g in GRADES}
     for i, j in itertools.combinations(GRADES, 2):
         products = [0] * len(IDF4)
         shared = 0
-        for df, a, b in zip(df4, columns[i - 1], columns[j - 1]):
+        for row, k in rows.items():
+            a, b = row[i], row[j]
             if a and b:
-                products[df] += a * b
-                shared += 1
+                products[row[0]] += k * a * b
+                shared += k
         score = _cosine(products, IDF4, totals[j] * totals[i], norms[j], norms[i])
         cells[i, j] = cells[j, i] = PairSimilarity(score, shared, unique[i] + unique[j] - shared)
     return ClassSimilarityMatrix(tuple(tuple(cells[i, j] for j in GRADES) for i in GRADES))

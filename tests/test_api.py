@@ -69,6 +69,18 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_typing():
     assert done.stdout == "[]\n"
 
 
+def test_cli_import_leaves_out_json():
+    # only --format json reports import it
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import textgrade.cli; "
+        "print('json' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
+
+
 def test_names_the_bench_worker_reads_exist():
     tree = parse("bench/worker.py")
     chains = {chain for node in ast.walk(tree) if (chain := dotted(node))}

@@ -1,6 +1,8 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -211,26 +213,42 @@ class TestIndex:
         sequences = {g: tokenize(t) for g, t in self.TEXTS.items()}
         corpus = GradedCorpus.from_token_sequences(sequences)
         assert not any("types" in vars(seq) for seq in sequences.values())
-        assert len(corpus.rows) == corpus.stats.overall_unique == 6
-        assert sorted(corpus.rows.values()) == list(range(6))
-        assert len(corpus.df4) == 6 and all(len(column) == 6 for column in corpus.columns)
-        for term, row in corpus.rows.items():
-            counts = [sequences[g].counts[term] for g in GRADES]
-            assert [column[row] for column in corpus.columns] == counts
-            assert corpus.df4[row] == sum(map(bool, counts))
-        assert corpus.df4[corpus.rows["olma"]] == 3
-        assert corpus.columns[3][corpus.rows["olma"]] == 3
-        assert corpus.columns[0][corpus.rows["uzum"]] == 0
+        assert corpus.stats.overall_unique == 6
+        # first-seen order, grade by grade
+        assert list(corpus.terms) == ["olma", "nok", "uzum", "anor", "daraxt", "quyosh"]
+        assert corpus.terms["olma"] == (3, 2, 1, 0, 3)
+        assert corpus.terms["nok"] == (3, 1, 0, 1, 1)
+        assert corpus.terms["uzum"] == (1, 0, 2, 0, 0)
 
     def test_square_sums_by_df(self):
         sequences = {g: tokenize(t) for g, t in self.TEXTS.items()}
         corpus = GradedCorpus.from_token_sequences(sequences)
+        assert corpus.squares4 == {
+            1: (0, 0, 0, 4 + 1, 0),  # olma and nok
+            2: (0, 4 + 1, 0, 1, 0),  # uzum and anor; olma
+            3: (0, 1, 0, 1, 0),  # daraxt; nok
+            4: (0, 1, 0, 9 + 1, 0),  # quyosh; olma and nok
+        }
+
+    @given(
+        st.fixed_dictionaries(
+            {g: st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=30) for g in GRADES}
+        )
+    )
+    def test_random_corpora_rows_and_square_sums(self, tokens):
+        counts = {g: Counter(tokens[g]) for g in GRADES}
+        corpus = GradedCorpus.from_counts(counts)
+        assert list(corpus.terms) == list(dict.fromkeys(chain(*(tokens[g] for g in GRADES))))
+        for term, row in corpus.terms.items():
+            grade_counts = tuple(counts[g][term] for g in GRADES)
+            assert row == (sum(map(bool, grade_counts)), *grade_counts)
+        # equal rows are one tuple
+        assert len(set(map(id, corpus.terms.values()))) == len(set(corpus.terms.values()))
         for g in GRADES:
             expected = [0] * 5
-            for term, count in sequences[g].counts.items():
-                expected[corpus.df4[corpus.rows[term]]] += count * count
+            for term, n in counts[g].items():
+                expected[corpus.terms[term][0]] += n * n
             assert corpus.squares4[g] == tuple(expected)
-        assert corpus.squares4[4] == (0, 1, 0, 9 + 1, 0)  # quyosh; olma and nok
 
 
 class TestVocabulary:

@@ -31,7 +31,7 @@ FIELDS = {
     ClassDocument: ("grade", "tokens"),
     CorpusStats: ("total_tokens", "unique_tokens", "overall_unique"),
     CorpusManifest: ("entries",),
-    GradedCorpus: ("stats", "rows", "df4", "columns", "squares4"),
+    GradedCorpus: ("stats", "terms", "squares4"),
     DocumentCollection: ("docs",),
     WeightedVector: ("vocab", "coords"),
     PairSimilarity: ("score", "shared_unique", "pair_vocab_size"),

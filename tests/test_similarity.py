@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -160,3 +161,15 @@ class TestClassSimilarityMatrix:
         matrix = class_similarity_matrix(mini_corpus)
         assert matrix.cell(1, 2).shared_unique == 1  # only "olma"
         assert matrix.cell(3, 4).shared_unique == 0
+
+    def test_terms_sharing_one_row_each_count(self):
+        # a, b and c share the row (2, 2, 1, 0, 0); x, y and z one row each
+        texts = {1: "a b c a b c x", 2: "a b c y", 3: "z", 4: "x y z"}
+        corpus = GradedCorpus.from_token_sequences({g: tokenize(t) for g, t in texts.items()})
+        assert [corpus.terms[t] for t in "abc"] == [(2, 2, 1, 0, 0)] * 3
+        matrix = class_similarity_matrix(corpus)
+        assert matrix.cell(1, 2).shared_unique == 3
+        docs = tuple(corpus.classes[g].tokens for g in GRADES)
+        coll = DocumentCollection(docs)
+        for i, j in itertools.combinations(GRADES, 2):
+            assert matrix.cell(i, j) == pair_similarity(docs[j - 1], corpus.classes[i], coll)
