@@ -106,11 +106,11 @@ class GradedCorpus(Record):
     maps each corpus term, in first-seen order, to its row
     `(df4, c1, c2, c3, c4)`, where df4 is the number of grades holding
     the term and `row[g]` its count in grade g, 0 where g lacks it; terms
-    with equal rows share one tuple. `squares4` holds, per grade, the sums of its terms' squared counts
-    indexed by df4, and `stats` each grade's token total and
-    distinct-term count. No token order is kept: TF-IDF reads none. All
-    of it is integers, so it holds no IDF; scoring weighs it under N = 4
-    or 5.
+    with equal rows share one tuple. `squares4` holds, per grade, the
+    sums of its terms' squared counts indexed by df4, and `stats` each
+    grade's token total and distinct-term count. No token order is kept:
+    TF-IDF reads none. All of it is integers, so it holds no IDF;
+    scoring weighs it under N = 4 or 5.
     """
 
     __slots__ = ("stats", "terms", "squares4", "__dict__")
@@ -121,18 +121,24 @@ class GradedCorpus(Record):
         stats, df = corpus_stats(counts)
         columns = (map(counts[g].get, df, repeat(0)) for g in GRADES)
         # equal rows share one tuple (`setdefault` of each row to itself):
-        # many terms have equal rows, so the rows take few cache lines
+        # many terms have equal rows, so this keeps the index small
         rows: dict[tuple[int, ...], tuple[int, ...]] = {}
         terms = dict(zip(df, map(rows.setdefault, *tee(zip(df.values(), *columns)))))
-        # each distinct row is weighed once, times the number of its terms
         sums = [[0] * (len(GRADES) + 1) for _ in GRADES]
         s1, s2, s3, s4 = sums
-        for (df4, a, b, c, d), k in Counter(terms.values()).items():
+        for (df4, a, b, c, d), k in cls.row_counts(terms).items():
             s1[df4] += k * a * a
             s2[df4] += k * b * b
             s3[df4] += k * c * c
             s4[df4] += k * d * d
         return cls(stats, terms, dict(zip(GRADES, map(tuple, sums))))
+
+    @staticmethod
+    def row_counts(terms: Mapping[str, tuple[int, ...]]) -> Counter[tuple[int, ...]]:
+        """Each distinct row of `terms` with the number k of terms holding it,
+        counted on each call and never kept. Few rows are distinct, so a sum
+        over the terms weighs each distinct row once, times k."""
+        return Counter(terms.values())
 
     @classmethod
     def from_token_sequences(cls, sequences: Mapping[int, TokenSequence]) -> "GradedCorpus":

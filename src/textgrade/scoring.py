@@ -243,11 +243,11 @@ def class_similarity_matrix(corpus: GradedCorpus) -> ClassSimilarityMatrix:
     pair is scored once and mirrored, so the matrix is exactly symmetric;
     a diagonal cell is 1 with the class's vocabulary size as its count.
     Many terms share one row of `corpus.terms`, so a pair walks the
-    distinct rows, each with the number k of terms holding it: a row
-    both grades hold adds k times its count product to its df4's bucket
-    and k to the shared count.
+    distinct rows, each with the number k of terms holding it
+    (`GradedCorpus.row_counts`): a row both grades hold adds k times its
+    count product to its df4's bucket and k to the shared count.
     """
-    rows = Counter(corpus.terms.values())
+    rows = corpus.row_counts(corpus.terms)
     totals, unique = corpus.stats.total_tokens, corpus.stats.unique_tokens
     norms = {g: _weigh(corpus.squares4[g], IDF4, totals[g] ** 2) for g in GRADES}
     cells = {(g, g): PairSimilarity(1.0, unique[g], unique[g]) for g in GRADES}

@@ -33,10 +33,9 @@ _OTHER_APOSTROPHES = "'‘’ʼ`"
 # characters to reach the limit.
 _REPLACE_LIMIT = 256
 
-# Texts are counted in pieces cut from blocks or windows of this many
-# characters (`_pieces`, `_str_pieces`), so that counting a long text
-# holds the normalized copies and the word list of one piece at a time,
-# not of the whole text.
+# Texts are counted in pieces cut from blocks of this many characters
+# (`_pieces`), so that counting a long text holds the normalized copies
+# and the word list of one piece at a time, not of the whole text.
 _PIECE = 1 << 16
 
 # The ASCII characters that are letters or whitespace, so never separators.
@@ -148,23 +147,6 @@ def _pieces(blocks: Iterable[str]) -> Iterator[str]:
     yield "".join(held)
 
 
-def _str_pieces(text: str) -> Iterator[str]:
-    """`text` in pieces cut as `_pieces` cuts its blocks of `_PIECE`
-    characters, except the last, each sliced from `text` once.
-
-    Each window of `_PIECE` characters but the last is searched for its
-    last ASCII space or LF, and a piece ends just after it. A window
-    without one adds to the next piece; no window is searched twice.
-    """
-    start = 0
-    for end in range(_PIECE, len(text), _PIECE):
-        cut = max(text.rfind(" ", end - _PIECE, end), text.rfind("\n", end - _PIECE, end)) + 1
-        if cut:
-            yield text[start:cut]
-            start = cut
-    yield text[start:]
-
-
 def count_terms(texts: Iterable[str | Iterable[str]]) -> Counter[str]:
     """Occurrences of each token of `texts`, taken one text at a time.
 
@@ -172,17 +154,17 @@ def count_terms(texts: Iterable[str | Iterable[str]]) -> Counter[str]:
     to it, such as a file being decoded. Equal to `Counter(tokenize(t).tokens)`
     summed over the texts, and so to the counts of their newline join,
     without building a token tuple: a text longer than `_PIECE`
-    characters (`_str_pieces`), and every text given in blocks
-    (`_pieces`), is counted in pieces. The letter runs of each piece are
-    counted as they are, then only the distinct runs with an edge
-    apostrophe are stripped and merged.
+    characters, and every text given in blocks, is counted in pieces
+    (`_pieces`). The letter runs of each piece are counted as they are,
+    then only the distinct runs with an edge apostrophe are stripped and
+    merged.
     """
     counts: Counter[str] = Counter()
     for text in texts:
         if not isinstance(text, str):
             pieces = _pieces(text)
         elif len(text) > _PIECE:
-            pieces = _str_pieces(text)
+            pieces = _pieces(text[i : i + _PIECE] for i in range(0, len(text), _PIECE))
         else:
             pieces = (text,)
         for piece in pieces:

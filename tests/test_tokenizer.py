@@ -266,14 +266,6 @@ class TestPieces:
         blocks = [raw[a:b] for a, b in zip(bounds, bounds[1:])]
         assert count_terms([iter(blocks)]) == Counter(tokenize(raw).tokens)
 
-    def test_long_str_is_cut_at_window_edges(self):
-        # the LF is the last character of the first window, and the space
-        # the first of the third, after a window holding no cut point
-        raw = "olm\nnokk uzum"
-        with mock.patch.object(tokenizer, "_PIECE", 4):
-            assert list(tokenizer._str_pieces(raw)) == ["olm\n", "nokk ", "uzum"]
-            assert count_terms([raw]) == {"olm": 1, "nokk": 1, "uzum": 1}
-
     def test_whitespace_free_text_is_one_piece_in_linear_time(self):
         # tabs separate words but are no cut point; blocks of 16
         # characters make a join per block cost minutes over 2 MB
