@@ -45,8 +45,10 @@ def containment_class(terms: Iterable[str], corpus: GradedCorpus) -> int | None:
     return None
 
 
-def classify(raw_text: str, corpus: GradedCorpus) -> ClassificationResult:
-    """Assign the query text to the most similar grade."""
+def classify(raw_text: str | Iterable[str], corpus: GradedCorpus) -> ClassificationResult:
+    """Assign the query text, a `str` or an iterable of `str` blocks that
+    concatenate to it (such as `corpus.read_blocks` of a file), to the
+    most similar grade."""
     counts = count_terms((raw_text,))
     if not counts:
         raise EmptyQueryError("input text contains no tokens")

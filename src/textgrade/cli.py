@@ -17,7 +17,7 @@ from .corpus import (
     corpus_stats,
     count_corpus,
     load_manifest,
-    read_text,
+    read_blocks,
 )
 from .errors import TextGradeError
 from .record import Record, setfield
@@ -203,8 +203,7 @@ def render_classification(result: ClassificationResult, output: OutputSpec) -> s
 
 def cmd_classify(manifest_path: str | Path, input_path: str | Path, output: OutputSpec) -> str:
     corpus = _load(manifest_path)
-    text = read_text(Path(input_path))
-    return render_classification(classify(text, corpus), output)
+    return render_classification(classify(read_blocks(Path(input_path)), corpus), output)
 
 
 # --- entry point --------------------------------------------------------------

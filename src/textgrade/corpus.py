@@ -5,7 +5,8 @@ concatenation of that grade's plain-text files as listed in a manifest.
 A manifest is UTF-8 text, with or without a byte-order mark, holding
 one `<grade><TAB><path>` entry per line, ending at LF, CR or CRLF only;
 blank lines and lines starting with '#' are ignored. Relative paths are
-resolved against the manifest's directory.
+resolved against the manifest's directory. Every file, the manifest and
+a classified `--input` included, is read in blocks by `read_blocks`.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .tokenizer import TokenSequence, count_terms
 
 GRADES = (1, 2, 3, 4)
 
-# Corpus files are read in binary blocks of this many bytes and decoded
-# one block at a time, so that counting never holds a whole file.
+# Files are read in binary blocks of this many bytes and decoded one
+# block at a time, so that counting never holds a whole file.
 _BLOCK = 1 << 16
 
 
@@ -157,16 +158,6 @@ class GradedCorpus(Record):
         return classes
 
 
-def read_text(path: Path, encoding: str = "utf-8") -> str:
-    """Read a text file; a decoding error names the file in its reason."""
-    try:
-        return path.read_text(encoding=encoding)
-    except UnicodeDecodeError as exc:
-        raise UnicodeDecodeError(
-            exc.encoding, exc.object, exc.start, exc.end, f"{exc.reason} in {path}"
-        ) from None
-
-
 class _FileDecodeError(UnicodeDecodeError):
     """A decoding error whose `start` and `end` are offsets in a file, and
     whose `object` holds only the undecodable bytes, not the whole file.
@@ -181,13 +172,13 @@ class _FileDecodeError(UnicodeDecodeError):
         return f"'{self.encoding}' codec can't decode {where}: {self.reason}"
 
 
-def _decoded_blocks(path: Path) -> Iterator[str]:
+def read_blocks(path: Path) -> Iterator[str]:
     """The text of a UTF-8 file, decoded block by block.
 
-    A decoding error names the file and the offset of the bad bytes in
-    it, in the words of `read_text`. A byte-order mark is kept, as
-    `read_text` keeps it, and CR is not translated: every CR and LF is
-    whitespace to the tokenizer either way.
+    A decoding error names the file and the offset of the bad bytes from
+    its start, in the words the codec uses for a whole file. A byte-order
+    mark is kept and CR is not translated: the tokenizer splits words at
+    both, and `load_manifest` drops the one and translates the other.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
     read = 0
@@ -215,6 +206,9 @@ def _decoded_blocks(path: Path) -> Iterator[str]:
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Parse a manifest file into validated entries.
 
+    One leading byte-order mark is dropped and CRLF, then CR, become LF;
+    lines split at LF only, so a form feed or U+2028 stays in its line.
+
     Raises ManifestError on malformed lines (with the line number),
     GradeRangeError on grades outside 1-4, and IncompleteCorpusError
     when some grade has no entry.
@@ -223,7 +217,9 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     base = path.parent
     entries: list[tuple[int, Path]] = []
     seen: set[tuple[int, Path]] = set()
-    for lineno, line in enumerate(read_text(path, "utf-8-sig").split("\n"), start=1):
+    text = "".join(read_blocks(path)).removeprefix("\ufeff")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -264,7 +260,7 @@ def count_corpus(manifest: CorpusManifest) -> dict[int, Counter[str]]:
     """
     return {
         grade: count_terms(
-            _decoded_blocks(entry_path)
+            read_blocks(entry_path)
             for entry_grade, entry_path in manifest.entries
             if entry_grade == grade
         )

@@ -297,6 +297,8 @@ class TestErrors:
     # and in a sequence cut short at the end of the file
     UNDECODABLE = [
         (b"ok \xff bad", "byte 0xff in position 3: invalid start byte"),
+        # a byte-order mark counts: the offset is in the file, not the text
+        (b"\xef\xbb\xbfok \xff bad", "byte 0xff in position 6: invalid start byte"),
         (b"olma " * 20_000 + b"\xff", "byte 0xff in position 100000: invalid start byte"),
         (b"a" * 65_535 + b"\xe2\x82(", "bytes in position 65535-65536: invalid continuation byte"),
         (b"olma " * 20_000 + b"\xe2\x82", "bytes in position 100000-100001: unexpected end of data"),
@@ -342,14 +344,14 @@ class TestErrors:
         # file modes do not stop root, so the denial is simulated
         query = mini_manifest.parent / "query.txt"
         query.write_text("olma", encoding="utf-8")
-        read_text = Path.read_text
+        real_open = open
 
-        def denied(path, *args, **kwargs):
-            if path == query:
-                raise PermissionError(13, "Permission denied", str(path))
-            return read_text(path, *args, **kwargs)
+        def denied(file, *args, **kwargs):
+            if str(file) == str(query):
+                raise PermissionError(13, "Permission denied", str(file))
+            return real_open(file, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_text", denied)
+        monkeypatch.setattr("builtins.open", denied)
         code, out, err = run(
             capsys, "classify", "--manifest", str(mini_manifest), "--input", str(query)
         )

@@ -19,7 +19,8 @@ from textgrade import (
     tokenize,
 )
 from textgrade import corpus
-from textgrade.corpus import _decoded_blocks, count_corpus, read_text
+from textgrade.cli import main
+from textgrade.corpus import count_corpus, read_blocks
 from textgrade.errors import (
     EmptyClassError,
     GradeRangeError,
@@ -118,6 +119,12 @@ class TestLoadManifest:
                 ["a", "b", "c", "page\u2028two.txt"],
                 None,
                 id="line-separator-in-file-name",
+            ),
+            pytest.param(
+                "1\ta\r2\tb\r\n3\tc\r4\td\rnot a data line\r",
+                None,
+                r"m\.tsv:5: expected",
+                id="carriage-returns-end-lines",
             ),
         ],
     )
@@ -332,7 +339,18 @@ FILE_BYTES = st.lists(
 
 def read_in_blocks(path, size):
     with mock.patch.object(corpus, "_BLOCK", size):
-        return count_terms([_decoded_blocks(path)])
+        return count_terms([read_blocks(path)])
+
+
+def read_whole(path):
+    """The text of a UTF-8 file decoded whole, the reference for the
+    streamed reader; a decoding error names the file in its reason."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnicodeDecodeError(
+            exc.encoding, exc.object, exc.start, exc.end, f"{exc.reason} in {path}"
+        ) from None
 
 
 def outcome(count):
@@ -345,14 +363,14 @@ def outcome(count):
 
 
 class TestReadInBlocks:
-    # corpus files are streamed: read in binary blocks and decoded incrementally
+    # files are streamed: read in binary blocks and decoded incrementally
 
     @given(FILE_TEXT, st.integers(1, 8))
     @example("\ufeffolma\r\nnok😀Σ\r\n", 1)
     def test_counts_equal_the_whole_file(self, tmp_path_factory, text, size):
         path = tmp_path_factory.mktemp("blocks") / "text.txt"
         path.write_bytes(text.encode("utf-8"))
-        assert read_in_blocks(path, size) == count_terms([read_text(path)])
+        assert read_in_blocks(path, size) == count_terms([read_whole(path)])
 
     @given(FILE_BYTES, st.integers(1, 8))
     @example(b"ok \xe2\x82", 4)
@@ -361,20 +379,22 @@ class TestReadInBlocks:
         path = tmp_path_factory.mktemp("blocks") / "bytes.txt"
         path.write_bytes(data)
         got = outcome(lambda: read_in_blocks(path, size))
-        assert got == outcome(lambda: count_terms([read_text(path)]))
+        assert got == outcome(lambda: count_terms([read_whole(path)]))
 
     def test_whitespace_free_file_counts_whole_in_linear_time(self, tmp_path):
         # about 4 MB with tabs but no space or LF: read whole at the
         # default block size, and in 16-byte blocks joined once
         path = tmp_path / "tabs.txt"
         path.write_text("Olma,\tnok\u3000мактаб\r" * 150_000, encoding="utf-8")
-        expected = count_terms([read_text(path)])
-        assert count_terms([_decoded_blocks(path)]) == expected
+        expected = count_terms([read_whole(path)])
+        assert count_terms([read_blocks(path)]) == expected
         started = time.perf_counter()
         assert read_in_blocks(path, 16) == expected
         assert time.perf_counter() - started < 5
 
-    def test_memory_stays_far_below_the_file_size(self, tmp_path):
+    # a corpus file, and a text given to `classify --input`
+    @pytest.mark.parametrize("read", ["corpus", "input"])
+    def test_memory_stays_far_below_the_file_size(self, tmp_path, capsys, read):
         rng = random.Random(0)
         letters = "abdeghiklmnoqrstuvxyzʻ"
         words = ["".join(rng.choices(letters, k=rng.randint(10, 20))) for _ in range(2000)]
@@ -383,13 +403,20 @@ class TestReadInBlocks:
         big.write_text(f"{paragraph}\n" * 24, encoding="utf-8")
         assert big.stat().st_size > 7_500_000
         manifest = write_corpus(tmp_path, {g: ["olma"] for g in GRADES})
-        with manifest.open("a", encoding="utf-8") as fh:
-            fh.write("1\tbig.txt\n")
+        if read == "corpus":
+            with manifest.open("a", encoding="utf-8") as fh:
+                fh.write("1\tbig.txt\n")
         tracemalloc.start()
         try:
-            counts = count_corpus(load_manifest(manifest))
+            if read == "corpus":
+                counts = count_corpus(load_manifest(manifest))
+            else:
+                code = main(["classify", "--manifest", str(manifest), "--input", str(big)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(counts[1].values()) == 24 * 20_000 + 1
+        if read == "corpus":
+            assert sum(counts[1].values()) == 24 * 20_000 + 1
+        else:
+            assert code == 0 and "recommended for grade 1" in capsys.readouterr().out
         assert peak < 4_000_000
