@@ -12,7 +12,6 @@ from .classifier import ClassificationResult, classify
 from .corpus import (
     GRADES,
     CorpusStats,
-    GradedCorpus,
     build_corpus,
     corpus_stats,
     count_corpus,
@@ -32,6 +31,8 @@ MAX_PRECISION = 324
 
 
 class OutputSpec(Record):
+    """How a report prints: its format and the decimal places of its scores."""
+
     __slots__ = ("format", "precision")
 
     def __init__(self, format: str = "table", precision: int = 2) -> None:
@@ -55,9 +56,8 @@ def format_score(value: float, precision: int) -> str:
         return format(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP), "f")
 
 
-def _json_score(value: float, precision: int) -> float:
-    return float(format_score(value, precision))
-
+# Each renderer rounds each score once with `format_score`; the table and
+# the TSV print those strings, and JSON prints the float they spell.
 
 def _json(payload: dict) -> str:
     import json  # imported on first use: a table or tsv report never needs it
@@ -75,124 +75,62 @@ def _tsv(rows: list[tuple[str, ...]]) -> str:
     return "\n".join("\t".join(row) for row in rows)
 
 
-def _load(manifest_path: str | Path) -> GradedCorpus:
-    return build_corpus(load_manifest(manifest_path))
-
-
-# --- stats -----------------------------------------------------------------
-
-def _stats_rows(stats: CorpusStats) -> list[tuple[str, ...]]:
-    rows = [("grade", "total_tokens", "unique_tokens")]
-    for g in GRADES:
-        rows.append((str(g), str(stats.total_tokens[g]), str(stats.unique_tokens[g])))
-    rows.append(("overall", "", str(stats.overall_unique)))
-    return rows
-
-
 def render_stats(stats: CorpusStats, output: OutputSpec) -> str:
     if output.format == "json":
-        payload = {
-            "grades": [
-                {
-                    "grade": g,
-                    "total_tokens": stats.total_tokens[g],
-                    "unique_tokens": stats.unique_tokens[g],
-                }
-                for g in GRADES
-            ],
-            "overall_unique": stats.overall_unique,
-        }
-        return _json(payload)
-    rows = _stats_rows(stats)
+        grades = [
+            {
+                "grade": g,
+                "total_tokens": stats.total_tokens[g],
+                "unique_tokens": stats.unique_tokens[g],
+            }
+            for g in GRADES
+        ]
+        return _json({"grades": grades, "overall_unique": stats.overall_unique})
+    rows = [("grade", "total_tokens", "unique_tokens")]
+    rows += [(str(g), str(stats.total_tokens[g]), str(stats.unique_tokens[g])) for g in GRADES]
+    rows.append(("overall", "", str(stats.overall_unique)))
     return _tsv(rows) if output.format == "tsv" else _table(rows)
 
 
-def cmd_stats(manifest_path: str | Path, output: OutputSpec) -> str:
-    # the statistics need the term counts only, not the scoring index
-    stats, _ = corpus_stats(count_corpus(load_manifest(manifest_path)))
-    return render_stats(stats, output)
-
-
-# --- matrix ----------------------------------------------------------------
-
 def render_matrix(matrix: ClassSimilarityMatrix, output: OutputSpec) -> str:
+    pairs = [(i, j) for i in GRADES for j in GRADES]
+    score = {(i, j): format_score(matrix.cell(i, j).score, output.precision) for i, j in pairs}
+    shared = {(i, j): matrix.cell(i, j).shared_unique for i, j in pairs}
     if output.format == "json":
-        payload = {
-            "grades": list(GRADES),
-            "cells": [
-                [
-                    {
-                        "score": _json_score(cell.score, output.precision),
-                        "shared_unique": cell.shared_unique,
-                    }
-                    for cell in row
-                ]
-                for row in matrix.cells
-            ],
-        }
-        return _json(payload)
+        cells = [
+            [{"score": float(score[i, j]), "shared_unique": shared[i, j]} for j in GRADES]
+            for i in GRADES
+        ]
+        return _json({"grades": list(GRADES), "cells": cells})
     if output.format == "tsv":
         rows = [("row_grade", "col_grade", "score", "shared_unique")]
-        for i in GRADES:
-            for j in GRADES:
-                cell = matrix.cell(i, j)
-                rows.append(
-                    (str(i), str(j), format_score(cell.score, output.precision), str(cell.shared_unique))
-                )
+        rows += [(str(i), str(j), score[i, j], str(shared[i, j])) for i, j in pairs]
         return _tsv(rows)
-    rows = [("grade",) + tuple(str(g) for g in GRADES)]
+    rows = [("grade", *map(str, GRADES))]
     for i in GRADES:
-        cells = []
-        for j in GRADES:
-            cell = matrix.cell(i, j)
-            score = "1" if i == j else format_score(cell.score, output.precision)
-            cells.append(f"{score} {cell.shared_unique}")
-        rows.append((str(i),) + tuple(cells))
+        cells = (f"{'1' if i == j else score[i, j]} {shared[i, j]}" for j in GRADES)
+        rows.append((str(i), *cells))
     return _table(rows)
 
 
-def cmd_matrix(manifest_path: str | Path, output: OutputSpec) -> str:
-    return render_matrix(class_similarity_matrix(_load(manifest_path)), output)
-
-
-# --- classify ---------------------------------------------------------------
-
 def render_classification(result: ClassificationResult, output: OutputSpec) -> str:
+    score = {g: format_score(result.scores[g], output.precision) for g in GRADES}
     if output.format == "json":
-        payload = {
-            "grades": [
-                {
-                    "grade": g,
-                    "score": _json_score(result.scores[g], output.precision),
-                    "shared_unique": result.shared_unique[g],
-                }
-                for g in GRADES
-            ],
-            "chosen_grade": result.chosen_grade,
-            "decision": result.decision,
-        }
-        return _json(payload)
-    if output.format == "tsv":
-        rows = [("grade", "score", "shared_unique", "chosen_grade", "decision")]
-        for g in GRADES:
-            rows.append(
-                (
-                    str(g),
-                    format_score(result.scores[g], output.precision),
-                    str(result.shared_unique[g]),
-                    str(result.chosen_grade),
-                    result.decision,
-                )
-            )
-        return _tsv(rows)
-    rows = [("grade", "score", "shared_unique")]
-    for g in GRADES:
-        rows.append(
-            (str(g), format_score(result.scores[g], output.precision), str(result.shared_unique[g]))
+        grades = [
+            {"grade": g, "score": float(score[g]), "shared_unique": result.shared_unique[g]}
+            for g in GRADES
+        ]
+        return _json(
+            {"grades": grades, "chosen_grade": result.chosen_grade, "decision": result.decision}
         )
+    rows = [(str(g), score[g], str(result.shared_unique[g])) for g in GRADES]
+    if output.format == "tsv":
+        verdict = (str(result.chosen_grade), result.decision)
+        head = ("grade", "score", "shared_unique", "chosen_grade", "decision")
+        return _tsv([head] + [row + verdict for row in rows])
     return "\n".join(
         [
-            _table(rows),
+            _table([("grade", "score", "shared_unique"), *rows]),
             "",
             f"decision: {result.decision}",
             f"chosen grade: {result.chosen_grade}",
@@ -201,66 +139,47 @@ def render_classification(result: ClassificationResult, output: OutputSpec) -> s
     )
 
 
-def cmd_classify(manifest_path: str | Path, input_path: str | Path, output: OutputSpec) -> str:
-    corpus = _load(manifest_path)
-    return render_classification(classify(read_blocks(Path(input_path)), corpus), output)
+def _report(args: argparse.Namespace, output: OutputSpec) -> str:
+    manifest = load_manifest(args.manifest)
+    if args.command == "stats":
+        # the statistics need the term counts only, not the scoring index
+        return render_stats(corpus_stats(count_corpus(manifest))[0], output)
+    corpus = build_corpus(manifest)
+    if args.command == "matrix":
+        return render_matrix(class_similarity_matrix(corpus), output)
+    return render_classification(classify(read_blocks(Path(args.input)), corpus), output)
 
 
-# --- entry point --------------------------------------------------------------
-
-def _positive_precision(value: str) -> int:
-    try:
-        precision = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"precision must be an integer, got {value!r}") from None
-    if not 1 <= precision <= MAX_PRECISION:
-        raise argparse.ArgumentTypeError(f"precision must be from 1 to {MAX_PRECISION}")
-    return precision
-
-
-def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=FORMATS, default="table", help="output format")
-    parser.add_argument(
-        "--precision",
-        type=_positive_precision,
-        default=2,
-        help=f"decimal places for scores, 1 to {MAX_PRECISION} (default 2)",
-    )
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="textgrade",
         description="Match texts to school grades 1-4 by similarity to a reference corpus.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    stats = sub.add_parser("stats", help="per-grade token and vocabulary counts")
-    stats.add_argument("--manifest", required=True, help="corpus manifest file")
-    _add_output_options(stats)
-
-    matrix = sub.add_parser("matrix", help="pairwise class similarity matrix")
-    matrix.add_argument("--manifest", required=True, help="corpus manifest file")
-    _add_output_options(matrix)
-
-    cls = sub.add_parser("classify", help="assign a grade to a text")
-    cls.add_argument("--manifest", required=True, help="corpus manifest file")
-    cls.add_argument("--input", required=True, help="UTF-8 text file to classify")
-    _add_output_options(cls)
-
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    output = OutputSpec(args.format, args.precision)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, summary in (
+        ("stats", "per-grade token and vocabulary counts"),
+        ("matrix", "pairwise class similarity matrix"),
+        ("classify", "assign a grade to a text"),
+    ):
+        command = commands.add_parser(name, help=summary)
+        command.add_argument("--manifest", required=True, help="corpus manifest file")
+        if name == "classify":
+            command.add_argument("--input", required=True, help="UTF-8 text file to classify")
+        command.add_argument("--format", choices=FORMATS, default="table", help="output format")
+        command.add_argument(
+            "--precision",
+            type=int,
+            default=2,
+            help=f"decimal places for scores, 1 to {MAX_PRECISION} (default 2)",
+        )
+    args = parser.parse_args(argv)
     try:
-        if args.command == "stats":
-            report = cmd_stats(args.manifest, output)
-        elif args.command == "matrix":
-            report = cmd_matrix(args.manifest, output)
-        else:
-            report = cmd_classify(args.manifest, args.input, output)
+        output = OutputSpec(args.format, args.precision)
+    except ValueError as exc:
+        # `choices` has already checked the format, so the precision is out of range
+        commands.choices[args.command].error(f"argument --precision: {exc}")
+    try:
+        report = _report(args, output)
     except (TextGradeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -125,11 +125,11 @@ def tokenize(raw: str) -> TokenSequence:
 
 def _pieces(blocks: Iterable[str]) -> Iterator[str]:
     """The concatenation of `blocks`, in pieces that each end just after
-    the last ASCII space or LF of a block, or at the end of the text.
+    the last ASCII space, TAB, LF or CR of a block, or at the end of the text.
 
     A piece is the rest of one block and the head of the next, unless
-    blocks with neither character come between: those are held and
-    joined once, so a whitespace-free text is one piece. Counting the
+    blocks with none of those characters come between: those are held
+    and joined once, so a text without them is one piece. Counting the
     pieces one by one counts the whole text, because a cut after
     whitespace changes no token: NFC composes nothing with whitespace,
     the final-sigma rule of `str.lower` looks only across case-ignorable
@@ -137,7 +137,7 @@ def _pieces(blocks: Iterable[str]) -> Iterator[str]:
     """
     held: list[str] = []
     for block in blocks:
-        cut = max(block.rfind(" "), block.rfind("\n")) + 1
+        cut = max(map(block.rfind, " \t\n\r")) + 1
         if cut:
             held.append(block[:cut])
             yield "".join(held)

@@ -215,6 +215,45 @@ class TestReportBytes:
         monkeypatch.setattr(TokenSequence, "__init__", forbidden)
         self.assert_pinned(capsys, mixed_manifest, command, "table")
 
+    @pytest.mark.parametrize("precision", ["1", "6", "17", "324"])
+    @pytest.mark.parametrize("command", ["matrix", "classify"])
+    def test_every_format_shows_the_same_rounded_score(
+        self, capsys, mini_manifest, command, precision
+    ):
+        query = mini_manifest.parent / "query.txt"
+        query.write_text("olma behi uzum", encoding="utf-8")
+
+        def report(fmt):
+            argv = [command, "--manifest", str(mini_manifest), "--format", fmt]
+            argv += ["--precision", precision]
+            if command == "classify":
+                argv += ["--input", str(query)]
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            return out.splitlines()
+
+        # each format's scores keyed by (row grade, column grade), or by grade
+        if command == "matrix":
+            tsv = {(int(i), int(j)): s for i, j, s, _ in map(str.split, report("tsv")[1:])}
+            cells = json.loads("\n".join(report("json")))["cells"]
+            js = {(i, j): cells[i - 1][j - 1]["score"] for i, j in tsv}
+            table = {
+                (int(row[0]), j): score
+                for row in map(str.split, report("table")[1:])
+                for j, score in enumerate(row[1::2], start=1)
+            }
+        else:
+            tsv = {int(row[0]): row[1] for row in map(str.split, report("tsv")[1:])}
+            grades = json.loads("\n".join(report("json")))["grades"]
+            js = {row["grade"]: row["score"] for row in grades}
+            table = {int(row[0]): row[1] for row in map(str.split, report("table")[1:5])}
+        assert len(tsv) == (16 if command == "matrix" else 4)
+        assert all(len(score) == len("0.") + int(precision) for score in tsv.values())
+        assert js == {key: float(score) for key, score in tsv.items()}
+        # the matrix table prints its diagonal as 1
+        diagonal = {(g, g): "1" for g in textgrade.GRADES} if command == "matrix" else {}
+        assert table == {**tsv, **diagonal}
+
     @pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
     def test_stats_builds_no_index(self, capsys, monkeypatch, mixed_manifest, fmt):
         # the statistics come from the term counts alone
@@ -268,10 +307,29 @@ class TestErrors:
         assert code == 1
         assert "no tokens" in err
 
-    def test_invalid_precision_is_usage_error(self, capsys, mini_manifest):
+    @staticmethod
+    def usage_error(capsys, manifest, command, *options):
+        """The exit code, stdout and last stderr line of a refused command line."""
+        argv = [command, "--manifest", str(manifest), *options]
+        if command == "classify":
+            argv += ["--input", str(manifest.parent / "query.txt")]
         with pytest.raises(SystemExit) as excinfo:
-            main(["stats", "--manifest", str(mini_manifest), "--precision", "0"])
-        assert excinfo.value.code == 2
+            main(argv)
+        captured = capsys.readouterr()
+        return excinfo.value.code, captured.out, captured.err.splitlines()[-1]
+
+    @pytest.mark.parametrize("value", ["0", "325", "x"])
+    @pytest.mark.parametrize("command", ["stats", "matrix", "classify"])
+    def test_invalid_precision_is_usage_error(self, capsys, mini_manifest, command, value):
+        code, out, last = self.usage_error(
+            capsys, mini_manifest, command, "--precision", value
+        )
+        assert code == 2 and out == ""
+        prefix = f"textgrade {command}: error: argument --precision:"
+        if value == "x":
+            assert last.startswith(prefix)
+        else:
+            assert last == f"{prefix} precision must be from 1 to 324"
 
     def test_precision_above_the_last_digit_is_usage_error(self, capsys, mini_manifest):
         # 5e-324 is the least positive double: 324 places print every digit
@@ -287,10 +345,11 @@ class TestErrors:
         assert excinfo.value.code == 2
         assert "precision must be from 1 to 324" in capsys.readouterr().err
 
-    def test_unknown_format_is_usage_error(self, capsys, mini_manifest):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["stats", "--manifest", str(mini_manifest), "--format", "xml"])
-        assert excinfo.value.code == 2
+    @pytest.mark.parametrize("command", ["stats", "matrix", "classify"])
+    def test_unknown_format_is_usage_error(self, capsys, mini_manifest, command):
+        code, out, last = self.usage_error(capsys, mini_manifest, command, "--format", "xml")
+        assert code == 2 and out == ""
+        assert last.startswith(f"textgrade {command}: error: argument --format:")
 
     # corpus files are decoded in 64 KiB blocks, yet every offset is in the
     # file: past the first block, in a sequence split across two blocks,

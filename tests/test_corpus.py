@@ -382,15 +382,35 @@ class TestReadInBlocks:
         assert got == outcome(lambda: count_terms([read_whole(path)]))
 
     def test_whitespace_free_file_counts_whole_in_linear_time(self, tmp_path):
-        # about 4 MB with tabs but no space or LF: read whole at the
-        # default block size, and in 16-byte blocks joined once
-        path = tmp_path / "tabs.txt"
-        path.write_text("Olma,\tnok\u3000мактаб\r" * 150_000, encoding="utf-8")
+        # about 4 MB with U+3000 and U+2028 but no ASCII space, TAB, LF or
+        # CR: read whole at the default block size, and in 16-byte blocks
+        # joined once
+        path = tmp_path / "wide.txt"
+        path.write_text("Olma,\u2028nok\u3000мактаб\u2028" * 150_000, encoding="utf-8")
         expected = count_terms([read_whole(path)])
         assert count_terms([read_blocks(path)]) == expected
         started = time.perf_counter()
         assert read_in_blocks(path, 16) == expected
         assert time.perf_counter() - started < 5
+
+    def test_cr_line_ends_are_cut_points(self, tmp_path):
+        # a word list with CR line ends and no space or LF
+        rng = random.Random(0)
+        letters = "abdeghiklmnoqrstuvxyz"
+        words = ["".join(rng.choices(letters, k=rng.randint(10, 20))) for _ in range(2000)]
+        manifest = write_corpus(tmp_path, {g: ["olma"] for g in GRADES})
+        (tmp_path / "cr.txt").write_text("\r".join(rng.choices(words, k=200_000)), encoding="utf-8")
+        assert (tmp_path / "cr.txt").stat().st_size > 3_000_000
+        with manifest.open("a", encoding="utf-8") as fh:
+            fh.write("1\tcr.txt\n")
+        tracemalloc.start()
+        try:
+            counts = count_corpus(load_manifest(manifest))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(counts[1].values()) == 200_000 + 1
+        assert peak < 4_000_000
 
     # a corpus file, and a text given to `classify --input`
     @pytest.mark.parametrize("read", ["corpus", "input"])

@@ -245,7 +245,7 @@ class TestCharactersTextLeavesOut:
 # and lone surrogates.
 PIECE_UNITS = (
     list("aeiOΣσςİМактабё05 ") + ["\u0301", "\u0307"] + APOSTROPHE_VARIANTS
-    + ["\r", "\n", "\r\n", "\u2028", "\u00a0", "\u3000", "\ud800", "\udfff"]
+    + ["\t", "\r", "\n", "\r\n", "\u2028", "\u00a0", "\u3000", "\ud800", "\udfff"]
 )
 PIECE_TEXT = st.lists(st.sampled_from(PIECE_UNITS), max_size=120).map("".join)
 
@@ -267,9 +267,9 @@ class TestPieces:
         assert count_terms([iter(blocks)]) == Counter(tokenize(raw).tokens)
 
     def test_whitespace_free_text_is_one_piece_in_linear_time(self):
-        # tabs separate words but are no cut point; blocks of 16
-        # characters make a join per block cost minutes over 2 MB
-        raw = "Olma,\tnok\u3000мактаб\t" * 100_000
+        # U+3000 and U+2028 separate words but are no cut point; blocks of
+        # 16 characters make a join per block cost minutes over 2 MB
+        raw = "Olma,\u2028nok\u3000мактаб\u2028" * 100_000
         with mock.patch.object(tokenizer, "_PIECE", 16):
             assert list(tokenizer._pieces([raw[i : i + 16] for i in range(0, 64, 16)])) == [raw[:64]]
             started = time.perf_counter()
