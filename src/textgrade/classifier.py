@@ -48,12 +48,12 @@ def containment_class(terms: Iterable[str], corpus: GradedCorpus) -> int | None:
 def classify(raw_text: str | Iterable[str], corpus: GradedCorpus) -> ClassificationResult:
     """Assign the query text, a `str` or an iterable of `str` blocks that
     concatenate to it (such as `corpus.read_blocks` of a file), to the
-    most similar grade."""
-    counts = count_terms((raw_text,))
+    most similar grade; blocks are counted as they arrive."""
+    counts = count_terms(raw_text)
     if not counts:
         raise EmptyQueryError("input text contains no tokens")
 
-    scores, shared = query_similarities(counts, sum(counts.values()), corpus)
+    scores, shared = query_similarities(counts, corpus)
     for grade in GRADES:
         if shared[grade] == len(counts):
             scores[grade] = 1.0

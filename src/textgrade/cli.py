@@ -18,8 +18,8 @@ from .corpus import (
     load_manifest,
     read_blocks,
 )
-from .errors import TextGradeError
-from .record import Record, setfield
+from .errors import EmptyClassError, TextGradeError
+from .record import Record
 from .scoring import ClassSimilarityMatrix, class_similarity_matrix
 
 FORMATS = ("table", "tsv", "json")
@@ -34,11 +34,6 @@ class OutputSpec(Record):
     """How a report prints: its format and the decimal places of its scores."""
 
     __slots__ = ("format", "precision")
-
-    def __init__(self, format: str = "table", precision: int = 2) -> None:
-        setfield(self, "format", format)
-        setfield(self, "precision", precision)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.format not in FORMATS:
@@ -141,13 +136,22 @@ def render_classification(result: ClassificationResult, output: OutputSpec) -> s
 
 def _report(args: argparse.Namespace, output: OutputSpec) -> str:
     manifest = load_manifest(args.manifest)
-    if args.command == "stats":
-        # the statistics need the term counts only, not the scoring index
-        return render_stats(corpus_stats(count_corpus(manifest))[0], output)
-    corpus = build_corpus(manifest)
+    try:
+        if args.command == "stats":
+            # the statistics need the term counts only, not the scoring index
+            return render_stats(corpus_stats(count_corpus(manifest))[0], output)
+        corpus = build_corpus(manifest)
+    except EmptyClassError as exc:
+        grade = exc.args[0]
+        raise EmptyClassError(grade, *(path for g, path in manifest.entries if g == grade)) from None
     if args.command == "matrix":
         return render_matrix(class_similarity_matrix(corpus), output)
-    return render_classification(classify(read_blocks(Path(args.input)), corpus), output)
+    try:
+        result = classify(read_blocks(Path(args.input)), corpus)
+    except (OSError, UnicodeDecodeError) as exc:
+        # the corpus is read by now, so the input is the file at fault
+        raise TextGradeError(f"input: {exc}") from None
+    return render_classification(result, output)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import codecs
 from collections import Counter
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from itertools import chain, repeat, tee
 from pathlib import Path
@@ -83,13 +83,13 @@ def corpus_stats(counts: Mapping[int, Counter[str]]) -> tuple[CorpusStats, Count
     order, grade by grade.
 
     Raises ValueError unless the grades are exactly 1-4, and
-    EmptyClassError for a grade without tokens.
+    EmptyClassError(grade) for a grade without tokens.
     """
     if set(counts) != set(GRADES):
         raise ValueError(f"grades must be exactly {set(GRADES)}, got {set(counts)}")
     for grade in GRADES:
         if not counts[grade]:
-            raise EmptyClassError(f"grade {grade} has no tokens")
+            raise EmptyClassError(grade)
     df = Counter(chain(*(counts[g] for g in GRADES)))
     stats = CorpusStats(
         total_tokens={g: sum(counts[g].values()) for g in GRADES},
@@ -209,9 +209,10 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     One leading byte-order mark is dropped and CRLF, then CR, become LF;
     lines split at LF only, so a form feed or U+2028 stays in its line.
 
-    Raises ManifestError on malformed lines (with the line number),
-    GradeRangeError on grades outside 1-4, and IncompleteCorpusError
-    when some grade has no entry.
+    A grade is one of the ASCII digits 1, 2, 3 or 4. Raises ManifestError
+    on malformed lines (with the line number), GradeRangeError on any
+    other field of ASCII digits, such as 0, 5 or 01, and
+    IncompleteCorpusError when some grade has no entry.
     """
     path = Path(path)
     base = path.parent
@@ -228,12 +229,11 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             raise ManifestError(f"{path}:{lineno}: expected '<grade><TAB><path>', got {line!r}")
         if "\0" in fields[1]:
             raise ManifestError(f"{path}:{lineno}: path holds a NUL byte: {fields[1]!r}")
-        try:
-            grade = int(fields[0])
-        except ValueError:
-            raise ManifestError(f"{path}:{lineno}: grade is not an integer: {fields[0]!r}") from None
-        if grade not in GRADES:
-            raise GradeRangeError(f"{path}:{lineno}: grade {grade} outside 1-4")
+        if not (fields[0].isascii() and fields[0].isdigit()):
+            raise ManifestError(f"{path}:{lineno}: grade is not an integer: {fields[0]!r}")
+        if fields[0] not in {str(g) for g in GRADES}:
+            raise GradeRangeError(f"{path}:{lineno}: grade {fields[0]} outside 1-4")
+        grade = int(fields[0])
         entry_path = Path(fields[1])
         if not entry_path.is_absolute():
             entry_path = base / entry_path
@@ -251,21 +251,25 @@ def load_manifest(path: str | Path) -> CorpusManifest:
 def count_corpus(manifest: CorpusManifest) -> dict[int, Counter[str]]:
     """Count the terms of every manifest file into per-grade counts.
 
-    A grade's files are read and counted one at a time in manifest
-    order; that gives the counts of their newline join, since a newline
-    separates words. Each file is streamed in blocks and counted in
-    pieces (`tokenizer.count_terms`), so memory holds a few blocks of
-    text beside the counts. Unreadable files raise OSError and files
-    that are not UTF-8 raise UnicodeDecodeError, both naming the path.
+    A grade's text is the newline join of its files in manifest order:
+    `tokenizer.count_terms` gets each file's blocks in turn, a "\n"
+    block between files. A file is opened when the count reaches it, so
+    memory holds a few blocks of text beside the counts. Unreadable
+    files raise OSError and files that are not UTF-8 raise
+    UnicodeDecodeError, both naming the path.
     """
     return {
-        grade: count_terms(
-            read_blocks(entry_path)
-            for entry_grade, entry_path in manifest.entries
-            if entry_grade == grade
-        )
+        grade: count_terms(_newline_join(path for g, path in manifest.entries if g == grade))
         for grade in GRADES
     }
+
+
+def _newline_join(paths: Iterable[Path]) -> Iterator[str]:
+    """The blocks of each file in turn, with a "\n" block between files."""
+    for i, path in enumerate(paths):
+        if i:
+            yield "\n"
+        yield from read_blocks(path)
 
 
 def build_corpus(manifest: CorpusManifest) -> GradedCorpus:

@@ -18,7 +18,16 @@ class IncompleteCorpusError(ManifestError):
 
 
 class EmptyClassError(TextGradeError):
-    """A grade's files tokenize to an empty sequence."""
+    """A grade's files tokenize to an empty sequence.
+
+    Raised as `EmptyClassError(grade)`, or `EmptyClassError(grade, *files)`
+    to name the grade's files in the message.
+    """
+
+    def __str__(self) -> str:
+        grade, *files = self.args
+        named = f" in {', '.join(map(str, files))}" if files else ""
+        return f"grade {grade} has no tokens{named}"
 
 
 class EmptyQueryError(TextGradeError):

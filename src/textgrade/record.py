@@ -1,10 +1,10 @@
 """Frozen value records, built without `dataclasses`.
 
 A record class lists its fields once, in `__slots__`, in constructor
-order, with "__dict__" after them when it caches a property. Unless it
-writes its own, it gets an `__init__` generated from them as a frozen
-dataclass gets one: a parameter per field, each written with
-`setfield`, then `self.__post_init__()` if the class defines it.
+order, with "__dict__" after them when it caches a property. Its only
+`__init__` is generated from them as a frozen dataclass gets one: a
+parameter per field, none with a default, each written with `setfield`,
+then `self.__post_init__()` if the class defines it.
 `Record` adds the rest of `@dataclass(frozen=True)`: the
 `Name(field=value, ...)` repr, equality and hashing by field values
 within one type, and AttributeError on assignment or deletion.
@@ -40,7 +40,7 @@ class Record:
     def __init_subclass__(cls) -> None:
         own = tuple(name for name in cls.__dict__.get("__slots__", ()) if name != "__dict__")
         cls.__match_args__ += own
-        if own and "__init__" not in cls.__dict__:
+        if own:
             cls.__init__ = _generated_init(cls)
 
     def _values(self) -> tuple:

@@ -175,11 +175,11 @@ def pair_similarity(
 
 
 def query_similarities(
-    query: Mapping[str, int], total: int, corpus: GradedCorpus
+    query: Mapping[str, int], corpus: GradedCorpus
 ) -> tuple[dict[int, float], dict[int, int]]:
-    """Score a nonempty query, given as its term counts and token total,
-    against each grade (N = 5): each grade's cosine score, and the number
-    of the query's distinct terms it holds.
+    """Score a nonempty query, given as its term counts, against each
+    grade (N = 5): each grade's cosine score, and the number of the
+    query's distinct terms it holds.
 
     The collection is the four class documents plus the query. One pass
     over the query's distinct terms looks each up once in `corpus.terms`;
@@ -222,6 +222,7 @@ def query_similarities(
             p4[df] += count * d
             m4[df] += d * d
             s4 += 1
+    total = sum(query.values())
     query_norm = _weigh(query_squares, IDF5, total**2)
     totals = corpus.stats.total_tokens
     scores = {}

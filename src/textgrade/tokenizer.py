@@ -147,29 +147,25 @@ def _pieces(blocks: Iterable[str]) -> Iterator[str]:
     yield "".join(held)
 
 
-def count_terms(texts: Iterable[str | Iterable[str]]) -> Counter[str]:
-    """Occurrences of each token of `texts`, taken one text at a time.
+def count_terms(text: str | Iterable[str]) -> Counter[str]:
+    """Occurrences of each token of `text`, a `str` or an iterable of `str`
+    blocks that concatenate to it, such as a file being decoded.
 
-    A text is a `str`, or an iterable of `str` blocks that concatenate
-    to it, such as a file being decoded. Equal to `Counter(tokenize(t).tokens)`
-    summed over the texts, and so to the counts of their newline join,
-    without building a token tuple: a text longer than `_PIECE`
-    characters, and every text given in blocks, is counted in pieces
-    (`_pieces`). The letter runs of each piece are counted as they are,
-    then only the distinct runs with an edge apostrophe are stripped and
-    merged.
+    Equal to `Counter(tokenize(text).tokens)` without building a token
+    tuple: a text longer than `_PIECE` characters, and every text given
+    in blocks, is counted in pieces (`_pieces`). The letter runs of each
+    piece are counted as they are, then only the distinct runs with an
+    edge apostrophe are stripped and merged.
     """
+    if not isinstance(text, str):
+        pieces = _pieces(text)
+    elif len(text) > _PIECE:
+        pieces = _pieces(text[i : i + _PIECE] for i in range(0, len(text), _PIECE))
+    else:
+        pieces = (text,)
     counts: Counter[str] = Counter()
-    for text in texts:
-        if not isinstance(text, str):
-            pieces = _pieces(text)
-        elif len(text) > _PIECE:
-            pieces = _pieces(text[i : i + _PIECE] for i in range(0, len(text), _PIECE))
-        else:
-            pieces = (text,)
-        for piece in pieces:
-            counts.update(_words(piece))
-        del text, pieces  # a text is freed before the next one is read
+    for piece in pieces:
+        counts.update(_words(piece))
     edged = [w for w in counts if w[0] == CANONICAL_APOSTROPHE or w[-1] == CANONICAL_APOSTROPHE]
     for word in edged:
         n = counts.pop(word)

@@ -288,15 +288,21 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["stats", "classify", "matrix"])
     def test_grade_without_tokens(self, capsys, mini_manifest, command):
-        (mini_manifest.parent / "class-2.txt").write_text("123 !!!", encoding="utf-8")
-        query = mini_manifest.parent / "query.txt"
+        # the message names each of the grade's files, and no other grade's
+        folder = mini_manifest.parent
+        (folder / "class-2.txt").write_text("123 !!!", encoding="utf-8")
+        (folder / "blank.txt").write_text("\n", encoding="utf-8")
+        with mini_manifest.open("a", encoding="utf-8") as fh:
+            fh.write("3\tblank.txt\n2\tblank.txt\n")
+        query = folder / "query.txt"
         query.write_text("olma", encoding="utf-8")
         argv = [command, "--manifest", str(mini_manifest)]
         if command == "classify":
             argv += ["--input", str(query)]
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
-        assert err == "error: grade 2 has no tokens\n"
+        files = f"{folder / 'class-2.txt'}, {folder / 'blank.txt'}"
+        assert err == f"error: grade 2 has no tokens in {files}\n"
 
     def test_empty_query_file(self, capsys, mini_manifest, tmp_path):
         query = tmp_path / "query.txt"
@@ -379,15 +385,24 @@ class TestErrors:
                 "--input", str(mini_manifest.parent / "query.txt"),
             )
             assert code == 1 and out == ""
-            assert err == f"error: 'utf-8' codec can't decode {where} in {target}\n"
+            prefix = "input: " if bad == "input" else ""
+            assert err == f"error: {prefix}'utf-8' codec can't decode {where} in {target}\n"
 
     def test_input_is_a_directory(self, capsys, mini_manifest, tmp_path):
         code, out, err = run(
             capsys, "classify", "--manifest", str(mini_manifest), "--input", str(tmp_path)
         )
         assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: input: ") and err.count("\n") == 1
         assert str(tmp_path) in err
+
+    def test_missing_input(self, capsys, mini_manifest):
+        query = mini_manifest.parent / "nope.txt"
+        code, out, err = run(
+            capsys, "classify", "--manifest", str(mini_manifest), "--input", str(query)
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: input: [Errno 2] No such file or directory: '{query}'\n"
 
     def test_manifest_entry_is_a_directory(self, capsys, mini_manifest):
         folder = mini_manifest.parent / "chapter"
@@ -415,7 +430,7 @@ class TestErrors:
             capsys, "classify", "--manifest", str(mini_manifest), "--input", str(query)
         )
         assert code == 1 and out == ""
-        assert err == f"error: [Errno 13] Permission denied: '{query}'\n"
+        assert err == f"error: input: [Errno 13] Permission denied: '{query}'\n"
 
     @staticmethod
     def stats_writing_to(fd, mini_manifest):

@@ -67,11 +67,15 @@ class TestLoadManifest:
             load_manifest(manifest)
 
     def test_grade_out_of_range(self, tmp_path):
+        # a grade is exactly one ASCII digit 1-4; other ASCII digits are
+        # out of range, a leading zero too
         manifest = write_corpus(tmp_path, {g: ["x"] for g in GRADES})
-        with manifest.open("a", encoding="utf-8") as fh:
-            fh.write("5\te.txt\n")
-        with pytest.raises(GradeRangeError, match="grade 5"):
-            load_manifest(manifest)
+        entries = manifest.read_text(encoding="utf-8")
+        for field in ["5", "0", "01", "004", "9" * 5000]:
+            manifest.write_text(f"{entries}{field}\te.txt\n", encoding="utf-8")
+            with pytest.raises(GradeRangeError) as excinfo:
+                load_manifest(manifest)
+            assert str(excinfo.value) == f"{manifest}:5: grade {field} outside 1-4"
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         manifest = tmp_path / "manifest.tsv"
@@ -80,10 +84,15 @@ class TestLoadManifest:
             load_manifest(manifest)
 
     def test_non_integer_grade(self, tmp_path):
+        # only ASCII digits: not a word, another script's digit, a sign, a
+        # space before the TAB or a decimal point
         manifest = tmp_path / "manifest.tsv"
-        manifest.write_text("one\ta.txt\n", encoding="utf-8")
-        with pytest.raises(ManifestError, match="integer"):
-            load_manifest(manifest)
+        for field in ["one", "\u0661", "\uff11", "\u00b9", "+1", "-1", "1 ", "1.0"]:
+            manifest.write_text(f"{field}\ta.txt\n", encoding="utf-8")
+            with pytest.raises(ManifestError) as excinfo:
+                load_manifest(manifest)
+            assert type(excinfo.value) is ManifestError
+            assert str(excinfo.value) == f"{manifest}:1: grade is not an integer: {field!r}"
 
     def test_nul_byte_in_path_rejected(self, tmp_path):
         manifest = write_corpus(tmp_path, {g: ["x"] for g in GRADES})
@@ -339,7 +348,7 @@ FILE_BYTES = st.lists(
 
 def read_in_blocks(path, size):
     with mock.patch.object(corpus, "_BLOCK", size):
-        return count_terms([read_blocks(path)])
+        return count_terms(read_blocks(path))
 
 
 def read_whole(path):
@@ -370,7 +379,7 @@ class TestReadInBlocks:
     def test_counts_equal_the_whole_file(self, tmp_path_factory, text, size):
         path = tmp_path_factory.mktemp("blocks") / "text.txt"
         path.write_bytes(text.encode("utf-8"))
-        assert read_in_blocks(path, size) == count_terms([read_whole(path)])
+        assert read_in_blocks(path, size) == count_terms(read_whole(path))
 
     @given(FILE_BYTES, st.integers(1, 8))
     @example(b"ok \xe2\x82", 4)
@@ -379,7 +388,7 @@ class TestReadInBlocks:
         path = tmp_path_factory.mktemp("blocks") / "bytes.txt"
         path.write_bytes(data)
         got = outcome(lambda: read_in_blocks(path, size))
-        assert got == outcome(lambda: count_terms([read_whole(path)]))
+        assert got == outcome(lambda: count_terms(read_whole(path)))
 
     def test_whitespace_free_file_counts_whole_in_linear_time(self, tmp_path):
         # about 4 MB with U+3000 and U+2028 but no ASCII space, TAB, LF or
@@ -387,8 +396,8 @@ class TestReadInBlocks:
         # joined once
         path = tmp_path / "wide.txt"
         path.write_text("Olma,\u2028nok\u3000мактаб\u2028" * 150_000, encoding="utf-8")
-        expected = count_terms([read_whole(path)])
-        assert count_terms([read_blocks(path)]) == expected
+        expected = count_terms(read_whole(path))
+        assert count_terms(read_blocks(path)) == expected
         started = time.perf_counter()
         assert read_in_blocks(path, 16) == expected
         assert time.perf_counter() - started < 5
@@ -440,3 +449,53 @@ class TestReadInBlocks:
         else:
             assert code == 0 and "recommended for grade 1" in capsys.readouterr().out
         assert peak < 4_000_000
+
+
+# A corpus file's text: FILE_TEXT as drawn (often empty, mostly without a
+# final newline), or with a leading BOM, or with CR-only line ends.
+GRADE_FILE_TEXT = st.one_of(
+    FILE_TEXT,
+    FILE_TEXT.map("\ufeff".__add__),
+    FILE_TEXT.map(lambda text: text.replace("\r\n", "\r").replace("\n", "\r")),
+)
+
+
+class TestCountCorpus:
+    # count_corpus counts a grade as the newline join of its files, read
+    # in blocks that split words and multi-byte sequences
+    @given(
+        st.fixed_dictionaries(
+            {g: st.lists(GRADE_FILE_TEXT, min_size=1, max_size=4) for g in GRADES}
+        ),
+        st.integers(1, 8),
+    )
+    @example(
+        {
+            1: ["olma no", "k behi'", "'olma", "ʻ"],
+            2: ["ΑΣ", "Σα", "́olma'", "'noḱ"],
+            3: ["", "\ufeffolma\rnok\r", "мактаб"],
+            4: ["\ufeff"],
+        },
+        1,
+    )
+    def test_grades_count_as_the_newline_join_of_their_files(self, tmp_path_factory, texts, size):
+        manifest = write_corpus(tmp_path_factory.mktemp("grades"), texts)
+        with mock.patch.object(corpus, "_BLOCK", size):
+            counts = count_corpus(load_manifest(manifest))
+        assert counts == {g: count_terms("\n".join(texts[g])) for g in GRADES}
+
+        # an undecodable byte in a grade's second file: the error names
+        # that file and counts its offset from the file's own start
+        grade = next((g for g in GRADES if len(texts[g]) > 1), None)
+        if grade is None:
+            return
+        second = manifest.parent / f"g{grade}-1.txt"
+        good = texts[grade][1].encode("utf-8")
+        second.write_bytes(good + b"\xff olma")
+        with mock.patch.object(corpus, "_BLOCK", size), pytest.raises(UnicodeDecodeError) as excinfo:
+            count_corpus(load_manifest(manifest))
+        assert (excinfo.value.start, excinfo.value.end) == (len(good), len(good) + 1)
+        assert str(excinfo.value) == (
+            f"'utf-8' codec can't decode byte 0xff in position {len(good)}: "
+            f"invalid start byte in {second}"
+        )
