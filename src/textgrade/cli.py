@@ -139,7 +139,7 @@ def _report(args: argparse.Namespace, output: OutputSpec) -> str:
     try:
         if args.command == "stats":
             # the statistics need the term counts only, not the scoring index
-            return render_stats(corpus_stats(count_corpus(manifest))[0], output)
+            return render_stats(corpus_stats(count_corpus(manifest)), output)
         corpus = build_corpus(manifest)
     except EmptyClassError as exc:
         grade = exc.args[0]

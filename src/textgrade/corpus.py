@@ -15,10 +15,12 @@ import codecs
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
-from itertools import chain, repeat, tee
+from itertools import chain, repeat
+from operator import add, lshift
 from pathlib import Path
 
 from .errors import (
+    CorpusFileError,
     EmptyClassError,
     GradeRangeError,
     IncompleteCorpusError,
@@ -30,8 +32,10 @@ from .tokenizer import TokenSequence, count_terms
 GRADES = (1, 2, 3, 4)
 
 # Files are read in binary blocks of this many bytes and decoded one
-# block at a time, so that counting never holds a whole file.
-_BLOCK = 1 << 16
+# block at a time, so that counting never holds a whole file. A corpus
+# file is counted in pieces cut from its blocks, and the text copies and
+# word list of one piece set the peak memory of counting.
+_BLOCK = 1 << 14
 
 
 class Vocabulary(Record):
@@ -72,31 +76,40 @@ class CorpusStats(Record):
 
 
 class CorpusManifest(Record):
-    """Validated (grade, path) entries; every grade 1-4 appears."""
+    """Validated (grade, path) entries, in which every grade 1-4 appears;
+    the manifest's own path, and the line number of each entry in it."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "path", "lines")
 
 
-def corpus_stats(counts: Mapping[int, Counter[str]]) -> tuple[CorpusStats, Counter[str]]:
-    """The statistics of each grade's term counts, and each term's
-    document frequency (the number of grades holding it) in first-seen
-    order, grade by grade.
+def corpus_stats(counts: Iterable[tuple[int, Counter[str]]]) -> CorpusStats:
+    """The statistics of each grade's term counts, given as (grade,
+    counts) pairs such as `count_corpus` yields. Each grade's counts are
+    dropped before the next pair is drawn; only the totals, the
+    distinct-term counts and the set of every grade's terms are kept.
 
-    Raises ValueError unless the grades are exactly 1-4, and
-    EmptyClassError(grade) for a grade without tokens.
+    Raises EmptyClassError(grade) for a grade without tokens, once every
+    pair is drawn.
     """
-    if set(counts) != set(GRADES):
-        raise ValueError(f"grades must be exactly {set(GRADES)}, got {set(counts)}")
-    for grade in GRADES:
-        if not counts[grade]:
+    totals, unique = {}, {}
+    seen: set[str] = set()
+    for grade, grade_counts in counts:
+        totals[grade] = sum(grade_counts.values())
+        unique[grade] = len(grade_counts)
+        seen.update(grade_counts)
+        del grade_counts
+    return _checked_stats(totals, unique, len(seen))
+
+
+def _checked_stats(totals: dict[int, int], unique: dict[int, int], overall: int) -> CorpusStats:
+    """CorpusStats of every grade read, or EmptyClassError(grade) for
+    the first grade without tokens. A corpus is checked only once every
+    grade has been read, so that a later grade's unreadable file is
+    reported before an earlier grade's lack of tokens."""
+    for grade, n in unique.items():
+        if not n:
             raise EmptyClassError(grade)
-    df = Counter(chain(*(counts[g] for g in GRADES)))
-    stats = CorpusStats(
-        total_tokens={g: sum(counts[g].values()) for g in GRADES},
-        unique_tokens={g: len(counts[g]) for g in GRADES},
-        overall_unique=len(df),
-    )
-    return stats, df
+    return CorpusStats(totals, unique, overall)
 
 
 class GradedCorpus(Record):
@@ -118,21 +131,14 @@ class GradedCorpus(Record):
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, Counter[str]]) -> "GradedCorpus":
-        """Build a corpus from each grade's term counts, keeping only its index."""
-        stats, df = corpus_stats(counts)
-        columns = (map(counts[g].get, df, repeat(0)) for g in GRADES)
-        # equal rows share one tuple (`setdefault` of each row to itself):
-        # many terms have equal rows, so this keeps the index small
-        rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-        terms = dict(zip(df, map(rows.setdefault, *tee(zip(df.values(), *columns)))))
-        sums = [[0] * (len(GRADES) + 1) for _ in GRADES]
-        s1, s2, s3, s4 = sums
-        for (df4, a, b, c, d), k in cls.row_counts(terms).items():
-            s1[df4] += k * a * a
-            s2[df4] += k * b * b
-            s3[df4] += k * c * c
-            s4[df4] += k * d * d
-        return cls(stats, terms, dict(zip(GRADES, map(tuple, sums))))
+        """Build a corpus from each grade's term counts, keeping only its index.
+
+        Raises ValueError unless the grades are exactly 1-4, and
+        EmptyClassError(grade) for a grade without tokens.
+        """
+        if set(counts) != set(GRADES):
+            raise ValueError(f"grades must be exactly {set(GRADES)}, got {set(counts)}")
+        return _fold((g, counts[g]) for g in GRADES)
 
     @staticmethod
     def row_counts(terms: Mapping[str, tuple[int, ...]]) -> Counter[tuple[int, ...]]:
@@ -217,6 +223,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     path = Path(path)
     base = path.parent
     entries: list[tuple[int, Path]] = []
+    linenos: list[int] = []
     seen: set[tuple[int, Path]] = set()
     text = "".join(read_blocks(path)).removeprefix("\ufeff")
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -242,38 +249,99 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             raise ManifestError(f"{path}:{lineno}: duplicate entry {grade}\t{fields[1]}")
         seen.add(entry)
         entries.append(entry)
+        linenos.append(lineno)
     missing = [g for g in GRADES if g not in {grade for grade, _ in entries}]
     if missing:
         raise IncompleteCorpusError(f"{path}: no files for grade(s) {', '.join(map(str, missing))}")
-    return CorpusManifest(tuple(entries))
+    return CorpusManifest(tuple(entries), path, tuple(linenos))
 
 
-def count_corpus(manifest: CorpusManifest) -> dict[int, Counter[str]]:
-    """Count the terms of every manifest file into per-grade counts.
+def count_corpus(manifest: CorpusManifest) -> Iterator[tuple[int, Counter[str]]]:
+    """Count the terms of every manifest file: yield each grade with its
+    term counts, in grade order.
 
     A grade's text is the newline join of its files in manifest order:
     `tokenizer.count_terms` gets each file's blocks in turn, a "\n"
-    block between files. A file is opened when the count reaches it, so
-    memory holds a few blocks of text beside the counts. Unreadable
-    files raise OSError and files that are not UTF-8 raise
-    UnicodeDecodeError, both naming the path.
+    block between files. A grade's files are opened only when the
+    iteration reaches that grade, one at a time, so memory holds a few
+    blocks of text beside the counts. A file that cannot be opened, read
+    or decoded raises CorpusFileError, which names its manifest line and
+    holds the OSError or UnicodeDecodeError as its cause.
     """
-    return {
-        grade: count_terms(_newline_join(path for g, path in manifest.entries if g == grade))
-        for grade in GRADES
-    }
+    for grade in GRADES:
+        files = [
+            (path, f"{manifest.path}:{line}")
+            for (g, path), line in zip(manifest.entries, manifest.lines)
+            if g == grade
+        ]
+        yield grade, count_terms(_newline_join(files))
 
 
-def _newline_join(paths: Iterable[Path]) -> Iterator[str]:
-    """The blocks of each file in turn, with a "\n" block between files."""
-    for i, path in enumerate(paths):
+def _newline_join(files: Iterable[tuple[Path, str]]) -> Iterator[str]:
+    """The blocks of each (path, manifest line) file in turn, with a "\n"
+    block between files."""
+    for i, (path, where) in enumerate(files):
         if i:
             yield "\n"
-        yield from read_blocks(path)
+        try:
+            yield from read_blocks(path)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CorpusFileError(f"{where}: {exc}") from exc
+
+
+def _fold(counts: Iterable[tuple[int, Counter[str]]]) -> GradedCorpus:
+    """Index (grade, counts) pairs in grade order, one grade at a time.
+
+    Each grade's counts are merged into one table that maps each term to
+    a packed int, and dropped before the next pair is drawn. Grade g's
+    count sits at a shift of the summed bit lengths of the earlier
+    grades' token totals; no count exceeds its grade's total, so no
+    count carries into the next. The table keeps the first-seen order of
+    the terms and the first grade's key strings. Each distinct packed
+    value is then decoded once into its row, and weighed into `squares4`
+    once, times the number of terms holding it.
+    """
+    packed: dict[str, int] = {}
+    totals, unique = {}, {}
+    fields: list[tuple[int, int]] = []  # (shift, mask) of each grade's count
+    shift = 0
+    for grade, grade_counts in counts:
+        if packed:
+            # each term's packed value so far plus its count shifted into
+            # place; no name holds these iterators, which hold the counts
+            packed.update(
+                zip(
+                    grade_counts,
+                    map(
+                        add,
+                        map(packed.get, grade_counts, repeat(0)),
+                        map(lshift, grade_counts.values(), repeat(shift)),
+                    ),
+                )
+            )
+        else:
+            packed.update(grade_counts)
+        totals[grade], unique[grade] = sum(grade_counts.values()), len(grade_counts)
+        width = totals[grade].bit_length()
+        fields.append((shift, (1 << width) - 1))
+        shift += width
+        del grade_counts
+    stats = _checked_stats(totals, unique, len(packed))
+    rows: dict[int, tuple[int, ...]] = {}
+    sums = [[0] * (len(GRADES) + 1) for _ in GRADES]
+    for value, k in Counter(packed.values()).items():
+        row = [(value >> at) & mask for at, mask in fields]
+        df4 = len(row) - row.count(0)
+        rows[value] = (df4, *row)
+        for grade_sums, n in zip(sums, row):
+            grade_sums[df4] += k * n * n
+    terms = dict(zip(packed, map(rows.__getitem__, packed.values())))
+    return GradedCorpus(stats, terms, dict(zip(GRADES, map(tuple, sums))))
 
 
 def build_corpus(manifest: CorpusManifest) -> GradedCorpus:
     """Count the terms of every manifest file into the per-grade
-    documents (`count_corpus`) and index them; a grade whose files hold
-    no tokens raises EmptyClassError."""
-    return GradedCorpus.from_counts(count_corpus(manifest))
+    documents (`count_corpus`) and index them one grade at a time; a
+    grade whose files hold no tokens raises EmptyClassError, once every
+    grade has been read."""
+    return _fold(count_corpus(manifest))

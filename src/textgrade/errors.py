@@ -17,6 +17,14 @@ class IncompleteCorpusError(ManifestError):
     """At least one grade in 1-4 has no manifest entry."""
 
 
+class CorpusFileError(TextGradeError):
+    """A file the manifest lists cannot be opened, read or decoded.
+
+    The message starts with `<manifest>:<line>:`; the OSError or
+    UnicodeDecodeError is the cause.
+    """
+
+
 class EmptyClassError(TextGradeError):
     """A grade's files tokenize to an empty sequence.
 

@@ -263,6 +263,16 @@ class TestReportBytes:
         monkeypatch.setattr(GradedCorpus, "from_counts", forbidden)
         self.assert_pinned(capsys, mixed_manifest, "stats", fmt)
 
+    def test_stats_folds_no_index(self, capsys, monkeypatch, mixed_manifest):
+        # build_corpus indexes through corpus._fold, which from_counts also calls
+        def forbidden(*args, **kwargs):
+            raise AssertionError("corpus index built for stats")
+
+        monkeypatch.setattr(textgrade.corpus, "_fold", forbidden)
+        self.assert_pinned(capsys, mixed_manifest, "stats", "table")
+        with pytest.raises(AssertionError, match="index built"):
+            run(capsys, "matrix", "--manifest", str(mixed_manifest))
+
 
 class TestErrors:
     def test_missing_manifest(self, capsys, tmp_path):
@@ -357,7 +367,7 @@ class TestErrors:
         assert code == 2 and out == ""
         assert last.startswith(f"textgrade {command}: error: argument --format:")
 
-    # corpus files are decoded in 64 KiB blocks, yet every offset is in the
+    # corpus files are decoded in 16 KiB blocks, yet every offset is in the
     # file: past the first block, in a sequence split across two blocks,
     # and in a sequence cut short at the end of the file
     UNDECODABLE = [
@@ -385,7 +395,8 @@ class TestErrors:
                 "--input", str(mini_manifest.parent / "query.txt"),
             )
             assert code == 1 and out == ""
-            prefix = "input: " if bad == "input" else ""
+            # a corpus file is named by its manifest line, class-3.txt's third
+            prefix = {"corpus": f"{mini_manifest}:3: ", "manifest": "", "input": "input: "}[bad]
             assert err == f"error: {prefix}'utf-8' codec can't decode {where} in {target}\n"
 
     def test_input_is_a_directory(self, capsys, mini_manifest, tmp_path):
@@ -411,8 +422,25 @@ class TestErrors:
             fh.write("2\tchapter\n")
         code, out, err = run(capsys, "stats", "--manifest", str(mini_manifest))
         assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(folder) in err
+        assert err == f"error: {mini_manifest}:5: [Errno 21] Is a directory: '{folder}'\n"
+
+    @pytest.mark.parametrize("command", ["stats", "matrix", "classify"])
+    def test_later_unreadable_file_is_reported_before_an_empty_grade(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        # grades are counted one at a time, yet a grade without tokens is
+        # reported only once every grade has been read
+        monkeypatch.chdir(tmp_path)
+        for name, text in [("c1.txt", "olma"), ("e2.txt", "123 456"), ("c4.txt", "nok")]:
+            Path(name).write_text(text, encoding="utf-8")
+        Path("query.txt").write_text("olma", encoding="utf-8")
+        Path("m.tsv").write_text("1\tc1.txt\n2\te2.txt\n3\tmissing.txt\n4\tc4.txt\n", encoding="utf-8")
+        argv = [command, "--manifest", "m.tsv"]
+        if command == "classify":
+            argv += ["--input", "query.txt"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: m.tsv:3: [Errno 2] No such file or directory: 'missing.txt'\n"
 
     def test_unreadable_input(self, capsys, mini_manifest, monkeypatch):
         # file modes do not stop root, so the denial is simulated

@@ -1,8 +1,10 @@
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
 from itertools import chain
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -22,12 +24,17 @@ from textgrade import corpus
 from textgrade.cli import main
 from textgrade.corpus import count_corpus, read_blocks
 from textgrade.errors import (
+    CorpusFileError,
     EmptyClassError,
     GradeRangeError,
     IncompleteCorpusError,
     ManifestError,
 )
 from textgrade.tokenizer import count_terms
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import gen  # noqa: E402
 
 
 def write_corpus(tmp_path, texts_by_grade):
@@ -178,8 +185,13 @@ class TestBuildCorpus:
     def test_missing_file_raises_oserror_with_path(self, tmp_path):
         manifest = write_corpus(tmp_path, {g: ["x"] for g in GRADES})
         (tmp_path / "g2-0.txt").unlink()
-        with pytest.raises(OSError, match="g2-0.txt"):
+        with pytest.raises(CorpusFileError) as excinfo:
             build_corpus(load_manifest(manifest))
+        # the manifest line first, then the OSError, which names the file
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, FileNotFoundError)
+        assert str(excinfo.value) == f"{manifest}:2: {cause}"
+        assert "g2-0.txt" in str(cause)
 
     def test_grade_without_tokens_raises(self, tmp_path):
         manifest = write_corpus(tmp_path, {1: ["x"], 2: ["123 !!!"], 3: ["x"], 4: ["x"]})
@@ -189,9 +201,11 @@ class TestBuildCorpus:
     def test_invalid_utf8_reports_offset(self, tmp_path):
         manifest = write_corpus(tmp_path, {g: ["x"] for g in GRADES})
         (tmp_path / "g3-0.txt").write_bytes(b"ok \xff bad")
-        with pytest.raises(UnicodeDecodeError) as excinfo:
+        with pytest.raises(CorpusFileError) as excinfo:
             build_corpus(load_manifest(manifest))
-        assert excinfo.value.start == 3
+        assert isinstance(excinfo.value.__cause__, UnicodeDecodeError)
+        assert excinfo.value.__cause__.start == 3
+        assert str(excinfo.value).startswith(f"{manifest}:3: 'utf-8' codec can't decode")
 
 
 class TestCorpusStats:
@@ -414,7 +428,7 @@ class TestReadInBlocks:
             fh.write("1\tcr.txt\n")
         tracemalloc.start()
         try:
-            counts = count_corpus(load_manifest(manifest))
+            counts = dict(count_corpus(load_manifest(manifest)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -438,7 +452,7 @@ class TestReadInBlocks:
         tracemalloc.start()
         try:
             if read == "corpus":
-                counts = count_corpus(load_manifest(manifest))
+                counts = dict(count_corpus(load_manifest(manifest)))
             else:
                 code = main(["classify", "--manifest", str(manifest), "--input", str(big)])
             peak = tracemalloc.get_traced_memory()[1]
@@ -481,7 +495,7 @@ class TestCountCorpus:
     def test_grades_count_as_the_newline_join_of_their_files(self, tmp_path_factory, texts, size):
         manifest = write_corpus(tmp_path_factory.mktemp("grades"), texts)
         with mock.patch.object(corpus, "_BLOCK", size):
-            counts = count_corpus(load_manifest(manifest))
+            counts = dict(count_corpus(load_manifest(manifest)))
         assert counts == {g: count_terms("\n".join(texts[g])) for g in GRADES}
 
         # an undecodable byte in a grade's second file: the error names
@@ -492,10 +506,55 @@ class TestCountCorpus:
         second = manifest.parent / f"g{grade}-1.txt"
         good = texts[grade][1].encode("utf-8")
         second.write_bytes(good + b"\xff olma")
-        with mock.patch.object(corpus, "_BLOCK", size), pytest.raises(UnicodeDecodeError) as excinfo:
-            count_corpus(load_manifest(manifest))
-        assert (excinfo.value.start, excinfo.value.end) == (len(good), len(good) + 1)
+        with mock.patch.object(corpus, "_BLOCK", size), pytest.raises(CorpusFileError) as excinfo:
+            dict(count_corpus(load_manifest(manifest)))
+        cause = excinfo.value.__cause__
+        assert (cause.start, cause.end) == (len(good), len(good) + 1)
+        # its manifest line: write_corpus writes one line per file, in draw order
+        line = [(g, i) for g, files in texts.items() for i in range(len(files))].index((grade, 1)) + 1
         assert str(excinfo.value) == (
-            f"'utf-8' codec can't decode byte 0xff in position {len(good)}: "
+            f"{manifest}:{line}: 'utf-8' codec can't decode byte 0xff in position {len(good)}: "
             f"invalid start byte in {second}"
         )
+
+    def test_grades_are_read_one_at_a_time(self, tmp_path):
+        # a grade's files are opened only once the previous grade's counts
+        # are out, so that no two grades' counts need be held at once
+        manifest = load_manifest(
+            write_corpus(tmp_path, {g: ["olma", f"nok {g}"] for g in (4, 2, 3, 1)})
+        )
+        opened = []
+
+        def recorded(path):
+            opened.append(int(path.name[1]))  # g<grade>-<i>.txt
+            return read_blocks(path)
+
+        yielded = []
+        with mock.patch.object(corpus, "read_blocks", recorded):
+            pairs = count_corpus(manifest)
+            assert opened == []
+            for grade, counts in pairs:
+                yielded.append(grade)
+                assert opened == [g for g in GRADES if g <= grade for _ in range(2)]
+                assert counts == {"olma": 1, "nok": 1}
+        assert yielded == list(GRADES)
+
+
+class TestBuildMemory:
+    def test_build_peak_stays_near_what_the_corpus_keeps(self, tmp_path):
+        # the benchmark's seed-1 corpus, School-sized, whose grades share
+        # most of their words: one grade's counts at a time beside the
+        # index peak at 1.90 times what the corpus keeps, all four grades'
+        # counts at once at 2.40 times (CPython 3.11); a first build fills
+        # the interpreter's free lists, so that they count in neither
+        manifest = load_manifest(gen.write_corpus(gen.Generator(1).corpus(), tmp_path))
+        build_corpus(manifest)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            built = build_corpus(manifest)
+            kept, peak = (n - base for n in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert built.stats.overall_unique > 30_000
+        assert peak < 2.1 * kept, f"peak {peak / kept:.2f} times what the corpus keeps"

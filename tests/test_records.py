@@ -30,7 +30,7 @@ FIELDS = {
     Vocabulary: ("terms",),
     ClassDocument: ("grade", "tokens"),
     CorpusStats: ("total_tokens", "unique_tokens", "overall_unique"),
-    CorpusManifest: ("entries",),
+    CorpusManifest: ("entries", "path", "lines"),
     GradedCorpus: ("stats", "terms", "squares4"),
     DocumentCollection: ("docs",),
     WeightedVector: ("vocab", "coords"),
@@ -49,7 +49,7 @@ def every_record(mini_corpus):
         Vocabulary: (("nok", "olma"),),
         ClassDocument: (1, SEQ),
         CorpusStats: ({1: 3}, {1: 2}, 2),
-        CorpusManifest: (((1, Path("a.txt")), (2, Path("b.txt"))),),
+        CorpusManifest: (((1, Path("a.txt")), (2, Path("b.txt"))), Path("m.tsv"), (1, 3)),
         GradedCorpus: tuple(getattr(mini_corpus, name) for name in FIELDS[GradedCorpus]),
         DocumentCollection: ((SEQ, TokenSequence(("behi",))),),
         WeightedVector: (VOCAB, (0.25, 0.75)),
