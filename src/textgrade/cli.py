@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from decimal import ROUND_HALF_UP, Decimal, localcontext
@@ -14,7 +15,6 @@ from .corpus import (
     CorpusStats,
     build_corpus,
     corpus_stats,
-    count_corpus,
     load_manifest,
     read_blocks,
 )
@@ -139,7 +139,7 @@ def _report(args: argparse.Namespace, output: OutputSpec) -> str:
     try:
         if args.command == "stats":
             # the statistics need the term counts only, not the scoring index
-            return render_stats(corpus_stats(count_corpus(manifest)), output)
+            return render_stats(corpus_stats(manifest), output)
         corpus = build_corpus(manifest)
     except EmptyClassError as exc:
         grade = exc.args[0]
@@ -186,6 +186,11 @@ def main(argv: list[str] | None = None) -> int:
         report = _report(args, output)
     except (TextGradeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if sys.stdout is None:
+        # fd 1 was closed at start, so Python set sys.stdout to None and
+        # print would write nothing
+        print(f"error: cannot write standard output: {os.strerror(errno.EBADF)}", file=sys.stderr)
         return 1
     try:
         print(report)

@@ -70,9 +70,17 @@ class ClassDocument(Record):
 
 
 class CorpusStats(Record):
-    """Token and type counts per grade plus the cross-grade type count."""
+    """Token and type counts per grade plus the cross-grade type count.
+
+    Raises EmptyClassError(grade) for the lowest grade without tokens.
+    """
 
     __slots__ = ("total_tokens", "unique_tokens", "overall_unique")
+
+    def __post_init__(self) -> None:
+        for grade in sorted(self.unique_tokens):
+            if not self.unique_tokens[grade]:
+                raise EmptyClassError(grade)
 
 
 class CorpusManifest(Record):
@@ -82,34 +90,25 @@ class CorpusManifest(Record):
     __slots__ = ("entries", "path", "lines")
 
 
-def corpus_stats(counts: Iterable[tuple[int, Counter[str]]]) -> CorpusStats:
-    """The statistics of each grade's term counts, given as (grade,
-    counts) pairs such as `count_corpus` yields. Each grade's counts are
-    dropped before the next pair is drawn; only the totals, the
-    distinct-term counts and the set of every grade's terms are kept.
+def corpus_stats(manifest: CorpusManifest) -> CorpusStats:
+    """The statistics of each grade's term counts (`count_corpus`). Each
+    grade's counts are dropped before the next grade is counted; only the
+    totals, the distinct-term counts and the set of every grade's terms
+    are kept.
 
     Raises EmptyClassError(grade) for a grade without tokens, once every
-    pair is drawn.
+    grade has been read.
     """
     totals, unique = {}, {}
     seen: set[str] = set()
-    for grade, grade_counts in counts:
+    for grade, grade_counts in count_corpus(manifest):
         totals[grade] = sum(grade_counts.values())
         unique[grade] = len(grade_counts)
         seen.update(grade_counts)
         del grade_counts
-    return _checked_stats(totals, unique, len(seen))
-
-
-def _checked_stats(totals: dict[int, int], unique: dict[int, int], overall: int) -> CorpusStats:
-    """CorpusStats of every grade read, or EmptyClassError(grade) for
-    the first grade without tokens. A corpus is checked only once every
-    grade has been read, so that a later grade's unreadable file is
-    reported before an earlier grade's lack of tokens."""
-    for grade, n in unique.items():
-        if not n:
-            raise EmptyClassError(grade)
-    return CorpusStats(totals, unique, overall)
+    # built once every grade is read, so that a later grade's unreadable
+    # file is reported before an earlier grade's lack of tokens
+    return CorpusStats(totals, unique, len(seen))
 
 
 class GradedCorpus(Record):
@@ -130,27 +129,15 @@ class GradedCorpus(Record):
     __slots__ = ("stats", "terms", "squares4", "__dict__")
 
     @classmethod
-    def from_counts(cls, counts: Mapping[int, Counter[str]]) -> "GradedCorpus":
-        """Build a corpus from each grade's term counts, keeping only its index.
+    def from_token_sequences(cls, sequences: Mapping[int, TokenSequence]) -> "GradedCorpus":
+        """Build a corpus from per-grade token sequences; only their counts are kept.
 
         Raises ValueError unless the grades are exactly 1-4, and
         EmptyClassError(grade) for a grade without tokens.
         """
-        if set(counts) != set(GRADES):
-            raise ValueError(f"grades must be exactly {set(GRADES)}, got {set(counts)}")
-        return _fold((g, counts[g]) for g in GRADES)
-
-    @staticmethod
-    def row_counts(terms: Mapping[str, tuple[int, ...]]) -> Counter[tuple[int, ...]]:
-        """Each distinct row of `terms` with the number k of terms holding it,
-        counted on each call and never kept. Few rows are distinct, so a sum
-        over the terms weighs each distinct row once, times k."""
-        return Counter(terms.values())
-
-    @classmethod
-    def from_token_sequences(cls, sequences: Mapping[int, TokenSequence]) -> "GradedCorpus":
-        """Build a corpus from per-grade token sequences; only their counts are kept."""
-        return cls.from_counts({g: seq.counts for g, seq in sequences.items()})
+        if set(sequences) != set(GRADES):
+            raise ValueError(f"grades must be exactly {set(GRADES)}, got {set(sequences)}")
+        return _fold((g, sequences[g].counts) for g in GRADES)
 
     @cached_property
     def classes(self) -> dict[int, ClassDocument]:
@@ -326,7 +313,9 @@ def _fold(counts: Iterable[tuple[int, Counter[str]]]) -> GradedCorpus:
         fields.append((shift, (1 << width) - 1))
         shift += width
         del grade_counts
-    stats = _checked_stats(totals, unique, len(packed))
+    # built once every grade is read, so that a later grade's unreadable
+    # file is reported before an earlier grade's lack of tokens
+    stats = CorpusStats(totals, unique, len(packed))
     rows: dict[int, tuple[int, ...]] = {}
     sums = [[0] * (len(GRADES) + 1) for _ in GRADES]
     for value, k in Counter(packed.values()).items():

@@ -55,9 +55,6 @@ class TokenSequence(Record):
     def __iter__(self) -> Iterator[str]:
         return iter(self.tokens)
 
-    def __bool__(self) -> bool:
-        return bool(self.tokens)
-
     @cached_property
     def counts(self) -> Counter[str]:
         """Occurrences per term."""

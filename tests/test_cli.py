@@ -8,7 +8,6 @@ import pytest
 
 import textgrade
 from textgrade.cli import OutputSpec, format_score, main
-from textgrade.corpus import GradedCorpus
 from textgrade.tokenizer import TokenSequence
 
 
@@ -256,22 +255,15 @@ class TestReportBytes:
 
     @pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
     def test_stats_builds_no_index(self, capsys, monkeypatch, mixed_manifest, fmt):
-        # the statistics come from the term counts alone
-        def forbidden(*args, **kwargs):
-            raise AssertionError("corpus index built for stats")
-
-        monkeypatch.setattr(GradedCorpus, "from_counts", forbidden)
-        self.assert_pinned(capsys, mixed_manifest, "stats", fmt)
-
-    def test_stats_folds_no_index(self, capsys, monkeypatch, mixed_manifest):
-        # build_corpus indexes through corpus._fold, which from_counts also calls
+        # the statistics come from the term counts alone; every index is
+        # built by corpus._fold
         def forbidden(*args, **kwargs):
             raise AssertionError("corpus index built for stats")
 
         monkeypatch.setattr(textgrade.corpus, "_fold", forbidden)
-        self.assert_pinned(capsys, mixed_manifest, "stats", "table")
+        self.assert_pinned(capsys, mixed_manifest, "stats", fmt)
         with pytest.raises(AssertionError, match="index built"):
-            run(capsys, "matrix", "--manifest", str(mixed_manifest))
+            run(capsys, "matrix", "--manifest", str(mixed_manifest), "--format", fmt)
 
 
 class TestErrors:
@@ -463,7 +455,7 @@ class TestErrors:
     @staticmethod
     def stats_writing_to(fd, mini_manifest):
         """The exit code and stderr of `textgrade stats` in a fresh process
-        whose stdout is `fd`; closes `fd`."""
+        whose stdout is `fd`, or closed if `fd` is None; closes `fd`."""
         src = Path(textgrade.__file__).resolve().parents[1]
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         script = "import sys; from textgrade.cli import main; sys.exit(main())"
@@ -474,15 +466,24 @@ class TestErrors:
                 stderr=subprocess.PIPE,
                 env={**os.environ, "PYTHONPATH": path},
                 timeout=60,
+                preexec_fn=(lambda: os.close(1)) if fd is None else None,
             )
         finally:
-            os.close(fd)
+            if fd is not None:
+                os.close(fd)
         return proc.returncode, proc.stderr.decode()
 
     def test_closed_stdout_is_a_one_line_error(self, mini_manifest):
         read_end, write_end = os.pipe()
         os.close(read_end)
         code, err = self.stats_writing_to(write_end, mini_manifest)
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: cannot write standard output: ") and err.count("\n") == 1
+
+    def test_stdout_closed_at_start_is_a_one_line_error(self, mini_manifest):
+        # Python sets sys.stdout to None when fd 1 is closed at start
+        code, err = self.stats_writing_to(None, mini_manifest)
         assert code == 1
         assert "Traceback" not in err
         assert err.startswith("error: cannot write standard output: ") and err.count("\n") == 1

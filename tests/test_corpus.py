@@ -22,7 +22,7 @@ from textgrade import (
 )
 from textgrade import corpus
 from textgrade.cli import main
-from textgrade.corpus import count_corpus, read_blocks
+from textgrade.corpus import CorpusStats, count_corpus, read_blocks
 from textgrade.errors import (
     CorpusFileError,
     EmptyClassError,
@@ -30,7 +30,7 @@ from textgrade.errors import (
     IncompleteCorpusError,
     ManifestError,
 )
-from textgrade.tokenizer import count_terms
+from textgrade.tokenizer import TokenSequence, count_terms
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -230,6 +230,15 @@ class TestCorpusStats:
             assert stats.unique_tokens[g] <= stats.total_tokens[g]
         assert stats.overall_unique <= sum(stats.unique_tokens.values())
 
+    def test_two_empty_grades_name_the_lower(self):
+        with pytest.raises(EmptyClassError) as excinfo:
+            CorpusStats({1: 1, 3: 0, 2: 0, 4: 1}, {1: 1, 3: 0, 2: 0, 4: 1}, 2)
+        assert excinfo.value.args == (2,)
+        texts = {1: "olma", 2: "123", 3: "!!!", 4: "nok"}
+        with pytest.raises(EmptyClassError) as excinfo:
+            GradedCorpus.from_token_sequences({g: tokenize(t) for g, t in texts.items()})
+        assert excinfo.value.args == (2,)
+
 
 class TestIndex:
     TEXTS = {
@@ -267,7 +276,8 @@ class TestIndex:
     )
     def test_random_corpora_rows_and_square_sums(self, tokens):
         counts = {g: Counter(tokens[g]) for g in GRADES}
-        corpus = GradedCorpus.from_counts(counts)
+        sequences = {g: TokenSequence(tuple(tokens[g])) for g in GRADES}
+        corpus = GradedCorpus.from_token_sequences(sequences)
         assert list(corpus.terms) == list(dict.fromkeys(chain(*(tokens[g] for g in GRADES))))
         for term, row in corpus.terms.items():
             grade_counts = tuple(counts[g][term] for g in GRADES)
@@ -279,6 +289,11 @@ class TestIndex:
             for term, n in counts[g].items():
                 expected[corpus.terms[term][0]] += n * n
             assert corpus.squares4[g] == tuple(expected)
+
+    @pytest.mark.parametrize("grades", [(1, 2, 3), (1, 2, 3, 4, 5)])
+    def test_grades_must_be_exactly_one_to_four(self, grades):
+        with pytest.raises(ValueError, match="grades must be exactly"):
+            GradedCorpus.from_token_sequences({g: tokenize("olma") for g in grades})
 
 
 class TestVocabulary:
