@@ -15,8 +15,7 @@ import codecs
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
-from itertools import chain, repeat
-from operator import add, lshift
+from itertools import chain, repeat, zip_longest
 from pathlib import Path
 
 from .errors import (
@@ -279,52 +278,36 @@ def _newline_join(files: Iterable[tuple[Path, str]]) -> Iterator[str]:
 def _fold(counts: Iterable[tuple[int, Counter[str]]]) -> GradedCorpus:
     """Index (grade, counts) pairs in grade order, one grade at a time.
 
-    Each grade's counts are merged into one table that maps each term to
-    a packed int, and dropped before the next pair is drawn. Grade g's
-    count sits at a shift of the summed bit lengths of the earlier
-    grades' token totals; no count exceeds its grade's total, so no
-    count carries into the next. The table keeps the first-seen order of
-    the terms and the first grade's key strings. Each distinct packed
-    value is then decoded once into its row, and weighed into `squares4`
-    once, times the number of terms holding it.
+    Each grade's counts are merged into a table of every term seen so
+    far, each first set to 0, and the table's values are kept as that
+    grade's count column, in the terms' first-seen order. The counts are
+    dropped before the next pair is drawn; the table keeps the key string
+    of the grade that first held each term. An earlier column lacks
+    exactly the terms first seen later, so the columns padded with 0 give
+    each term its four counts. Each distinct row is built once, weighed
+    into `squares4` once, times the number of terms holding it, and
+    shared by all of them in the table.
     """
-    packed: dict[str, int] = {}
+    terms: dict = {}
+    columns: list[list[int]] = []
     totals, unique = {}, {}
-    fields: list[tuple[int, int]] = []  # (shift, mask) of each grade's count
-    shift = 0
     for grade, grade_counts in counts:
-        if packed:
-            # each term's packed value so far plus its count shifted into
-            # place; no name holds these iterators, which hold the counts
-            packed.update(
-                zip(
-                    grade_counts,
-                    map(
-                        add,
-                        map(packed.get, grade_counts, repeat(0)),
-                        map(lshift, grade_counts.values(), repeat(shift)),
-                    ),
-                )
-            )
-        else:
-            packed.update(grade_counts)
+        terms = dict.fromkeys(terms, 0)
+        terms.update(grade_counts)
+        columns.append(list(terms.values()))
         totals[grade], unique[grade] = sum(grade_counts.values()), len(grade_counts)
-        width = totals[grade].bit_length()
-        fields.append((shift, (1 << width) - 1))
-        shift += width
         del grade_counts
     # built once every grade is read, so that a later grade's unreadable
     # file is reported before an earlier grade's lack of tokens
-    stats = CorpusStats(totals, unique, len(packed))
-    rows: dict[int, tuple[int, ...]] = {}
+    stats = CorpusStats(totals, unique, len(terms))
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     sums = [[0] * (len(GRADES) + 1) for _ in GRADES]
-    for value, k in Counter(packed.values()).items():
-        row = [(value >> at) & mask for at, mask in fields]
-        df4 = len(row) - row.count(0)
-        rows[value] = (df4, *row)
-        for grade_sums, n in zip(sums, row):
+    for counts4, k in Counter(zip_longest(*columns, fillvalue=0)).items():
+        df4 = len(counts4) - counts4.count(0)
+        rows[counts4] = (df4, *counts4)
+        for grade_sums, n in zip(sums, counts4):
             grade_sums[df4] += k * n * n
-    terms = dict(zip(packed, map(rows.__getitem__, packed.values())))
+    terms.update(zip(terms, map(rows.__getitem__, zip_longest(*columns, fillvalue=0))))
     return GradedCorpus(stats, terms, dict(zip(GRADES, map(tuple, sums))))
 
 

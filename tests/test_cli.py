@@ -1,14 +1,23 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import textgrade
+from textgrade import GRADES, tokenize
 from textgrade.cli import OutputSpec, format_score, main
 from textgrade.tokenizer import TokenSequence
+
+from reference import ref_classify
 
 
 def run(capsys, *argv):
@@ -495,3 +504,179 @@ class TestErrors:
         assert "Traceback" not in err
         assert err.startswith("error: cannot write standard output: ") and err.count("\n") == 1
         assert "No space left on device" in err
+
+
+# Pieces of corpus and query text: Latin, Cyrillic, oʻ and gʻ spelled
+# with each apostrophe variant, combining marks, separators only, nothing.
+FRAGMENTS = [
+    "olma nok olma",
+    "Oʻzbek tili",
+    "Мактаб ва синф",
+    "китоб",
+    *(f"o{a}qish g{a}oza" for a in ["'", "‘", "’", "ʻ", "ʼ", "`"]),
+    "Ма\u0301ктаб",
+    "cafe\u0301 e\u0301",
+    " \t\r\n,.!",
+    "\u00a0\u3000\u2028",
+    "",
+]
+# Bytes that are not UTF-8: a stray continuation or invalid byte, a
+# truncated sequence, an overlong encoding.
+BAD_UTF8 = [b"\xff", b"\x80", b"\xd0", b"\xe2\x80", b"\xc0\xaf"]
+# Manifest grade fields: the four grades, other ASCII digits, and fields
+# that only look like a grade.
+GRADE_FIELDS = ["1", "2", "3", "4", "0", "5", "01", "+1", "1 ", "\u0661", "\uff11", "one", ""]
+FILES = ["a.txt", "b.txt", "c.txt"]
+MISSING = "missing.txt"
+
+
+def rarely(draw):
+    """True in about one draw in eight, so that most runs get far enough
+    to print a report."""
+    return draw(st.integers(0, 7)) == 0
+
+
+@st.composite
+def text_files(draw):
+    """A text file's bytes: fragments, a BOM or not, now and then bad UTF-8."""
+    text = " ".join(draw(st.lists(st.sampled_from(FRAGMENTS), min_size=1, max_size=4)))
+    return with_bad_utf8(draw, (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8"))
+
+
+def with_bad_utf8(draw, data):
+    """`data`, now and then with bytes that are not UTF-8 put in anywhere."""
+    if rarely(draw):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(BAD_UTF8)) + data[at:]
+    return data
+
+
+@st.composite
+def manifests(draw):
+    """(entries, manifest bytes): one entry per grade, now and then one
+    left out or a few more drawn from the grade-field pool, in any order
+    among comments and blank lines, with LF, CR or CRLF line ends, a BOM
+    or not, and now and then bad UTF-8."""
+    entries = [(str(g), draw(st.sampled_from(FILES))) for g in GRADES]
+    if rarely(draw):
+        del entries[draw(st.integers(0, len(entries) - 1))]
+    if rarely(draw):
+        extra = st.tuples(st.sampled_from(GRADE_FIELDS), st.sampled_from([*FILES, MISSING]))
+        entries += draw(st.lists(extra, min_size=1, max_size=2))
+    entries = draw(st.permutations(entries))
+    lines = [f"{field}\t{name}" for field, name in entries]
+    comment = st.sampled_from(["# grade 1", "", "  ", "#1\ta.txt"])
+    for at, line in draw(st.lists(st.tuples(st.integers(0, len(lines)), comment), max_size=3)):
+        lines.insert(at, line)
+    newline = draw(st.sampled_from(["\n", "\r", "\r\n"]))
+    text = draw(st.sampled_from(["", "\ufeff"])) + newline.join(lines)
+    text += draw(st.sampled_from(["", newline]))
+    return entries, with_bad_utf8(draw, text.encode("utf-8"))
+
+
+@st.composite
+def options(draw):
+    """(--format, --precision), either left out, now and then out of range."""
+    fmt = draw(st.sampled_from([None, "table", "tsv", "json"]))
+    if rarely(draw):
+        fmt = draw(st.sampled_from(["xml", "JSON", ""]))
+    precision = draw(st.sampled_from([None, "1", "2", "9", "12", "17", "324"]))
+    if rarely(draw):
+        precision = draw(st.sampled_from(["0", "325", "-3", "x", "1.5", ""]))
+    return fmt, precision
+
+
+def printed_classification(out, fmt):
+    """(scores, shared counts, chosen grade, decision) as a report prints them."""
+    if fmt == "json":
+        report = json.loads(out)
+        grades = report["grades"]
+        scores = {row["grade"]: row["score"] for row in grades}
+        shared = {row["grade"]: row["shared_unique"] for row in grades}
+        return scores, shared, report["chosen_grade"], report["decision"]
+    if fmt == "tsv":
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        chosen, decision = rows[0][3:]
+    else:
+        lines = out.splitlines()
+        rows = [line.split() for line in lines[1:5]]
+        decision = lines[6].removeprefix("decision: ")
+        chosen = lines[7].removeprefix("chosen grade: ")
+    scores = {int(row[0]): float(row[1]) for row in rows}
+    shared = {int(row[0]): int(row[2]) for row in rows}
+    return scores, shared, int(chosen), decision
+
+
+class TestContract:
+    """Odd manifests, corpus texts and arguments, run through `main` in
+    process: each run ends in a report, one `error:` line, or an argparse
+    usage error, and never in a traceback."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        manifest=manifests(),
+        texts=st.fixed_dictionaries({name: text_files() for name in FILES}),
+        query=text_files(),
+        # classify twice over: its scores are checked against the reference
+        command=st.sampled_from(["stats", "matrix", "classify", "classify"]),
+        options=options(),
+        block=st.sampled_from([1, 2, 3, 5, 64]),
+    )
+    def test_every_run_ends_in_a_report_or_one_error(
+        self, tmp_path_factory, manifest, texts, query, command, options, block
+    ):
+        entries, manifest_bytes = manifest
+        fmt, precision = options
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+            tmp = Path(tmp)
+            for name, data in texts.items():
+                (tmp / name).write_bytes(data)
+            (tmp / "query.txt").write_bytes(query)
+            (tmp / "m.tsv").write_bytes(manifest_bytes)
+            argv = [command, "--manifest", str(tmp / "m.tsv")]
+            if command == "classify":
+                argv += ["--input", str(tmp / "query.txt")]
+            if fmt is not None:
+                argv += ["--format", fmt]
+            if precision is not None:
+                argv += ["--precision", precision]
+            out, err = io.StringIO(), io.StringIO()
+            # small blocks put bad bytes and multi-byte characters on block edges
+            with redirect_stdout(out), redirect_stderr(err), mock.patch.object(
+                textgrade.corpus, "_BLOCK", block
+            ):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        if code == 2:
+            assert out == ""
+            assert err.splitlines()[-1].startswith(f"textgrade {command}: error:")
+            return
+        if code == 1:
+            assert out == ""
+            assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+            return
+        assert code == 0, (code, out, err)
+        assert err == ""
+        if command != "classify":
+            return
+        # a grade's text is the newline join of its files in manifest order
+        classes = {
+            g: list(tokenize("\n".join(texts[name].decode() for field, name in entries if field == str(g))))
+            for g in GRADES
+        }
+        expected = ref_classify(list(tokenize(query.decode())), classes)
+        scores, shared, chosen, decision = printed_classification(out, fmt or "table")
+        # each printed score is the score rounded half up to the places asked for
+        slack = 10.0 ** -int(precision or 2) / 2 + 1e-9
+        for g in GRADES:
+            assert abs(scores[g] - expected["scores"][g]) <= slack
+        assert shared == expected["shared"]
+        assert decision == expected["decision"]
+        if decision == "containment":
+            assert chosen == expected["chosen"]
+        else:
+            # a tie in exact arithmetic may round either way in the oracle
+            assert expected["scores"][chosen] >= max(expected["scores"].values()) - 1e-9
