@@ -42,13 +42,18 @@ class OutputSpec(Record):
             raise ValueError(f"precision must be from 1 to {MAX_PRECISION}")
 
 
+def _digits(text: str) -> int:
+    """Read an option value that is a nonempty run of ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def format_score(value: float, precision: int) -> str:
     """Render a score in fixed point with half-away-from-zero rounding."""
-    quantum = Decimal(1).scaleb(-precision)
     with localcontext() as ctx:
-        ctx.prec = max(28, precision + 10)
-        # format "f", not str: str writes a small or zero score as "0E-7"
-        return format(Decimal(str(value)).quantize(quantum, rounding=ROUND_HALF_UP), "f")
+        ctx.rounding = ROUND_HALF_UP
+        return format(Decimal(repr(value)), f".{precision}f")
 
 
 # Each renderer rounds each score once with `format_score`; the table and
@@ -142,8 +147,8 @@ def _report(args: argparse.Namespace, output: OutputSpec) -> str:
             return render_stats(corpus_stats(manifest), output)
         corpus = build_corpus(manifest)
     except EmptyClassError as exc:
-        grade = exc.args[0]
-        raise EmptyClassError(grade, *(path for g, path in manifest.entries if g == grade)) from None
+        files = ", ".join(str(path) for g, path in manifest.entries if g == exc.args[0])
+        raise TextGradeError(f"{exc} in {files}") from None
     if args.command == "matrix":
         return render_matrix(class_similarity_matrix(corpus), output)
     try:
@@ -172,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         command.add_argument("--format", choices=FORMATS, default="table", help="output format")
         command.add_argument(
             "--precision",
-            type=int,
+            type=_digits,
             default=2,
             help=f"decimal places for scores, 1 to {MAX_PRECISION} (default 2)",
         )

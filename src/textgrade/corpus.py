@@ -227,10 +227,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         if fields[0] not in {str(g) for g in GRADES}:
             raise GradeRangeError(f"{path}:{lineno}: grade {fields[0]} outside 1-4")
         grade = int(fields[0])
-        entry_path = Path(fields[1])
-        if not entry_path.is_absolute():
-            entry_path = base / entry_path
-        entry = (grade, entry_path)
+        # an absolute right operand replaces the base
+        entry = (grade, base / fields[1])
         if entry in seen:
             raise ManifestError(f"{path}:{lineno}: duplicate entry {grade}\t{fields[1]}")
         seen.add(entry)

@@ -26,16 +26,10 @@ class CorpusFileError(TextGradeError):
 
 
 class EmptyClassError(TextGradeError):
-    """A grade's files tokenize to an empty sequence.
-
-    Raised as `EmptyClassError(grade)`, or `EmptyClassError(grade, *files)`
-    to name the grade's files in the message.
-    """
+    """A grade's files tokenize to an empty sequence: `EmptyClassError(grade)`."""
 
     def __str__(self) -> str:
-        grade, *files = self.args
-        named = f" in {', '.join(map(str, files))}" if files else ""
-        return f"grade {grade} has no tokens{named}"
+        return f"grade {self.args[0]} has no tokens"
 
 
 class EmptyQueryError(TextGradeError):

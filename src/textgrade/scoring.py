@@ -132,14 +132,6 @@ def cosine(v: WeightedVector, w: WeightedVector) -> float:
     return min(1.0, dot / (math.sqrt(norm_v) * math.sqrt(norm_w)))
 
 
-def square_sums(doc: TokenSequence, df: Mapping[str, int], n: int) -> list[int]:
-    """Sums of the squared counts of `doc`'s terms, indexed by df = 0..n."""
-    sums = [0] * (n + 1)
-    for term, count in doc.counts.items():
-        sums[df[term]] += count * count
-    return sums
-
-
 def _weigh(sums: Sequence[int], idf: Sequence[float], scale: int) -> float:
     """The sum over df of idf[df]**2 / scale * sums[df], rounded once."""
     return math.fsum(weight * weight / scale * s for weight, s in zip(idf, sums))
@@ -159,9 +151,13 @@ def pair_similarity(
     """Score one query against one class over their pair vocabulary."""
     df, idf = coll.frequencies, _idf_table(coll.size)
     doc = class_doc.tokens
-    query_norm, doc_norm = (
-        _weigh(square_sums(d, df, coll.size), idf, len(d) ** 2) for d in (query, doc)
-    )
+    norms = []
+    for d in (query, doc):
+        squares = [0] * len(idf)
+        for term, count in d.counts.items():
+            squares[df[term]] += count * count
+        norms.append(_weigh(squares, idf, len(d) ** 2))
+    query_norm, doc_norm = norms
     small, large = sorted((query.counts, doc.counts), key=len)
     products = [0] * len(idf)
     shared = 0

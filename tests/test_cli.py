@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import textgrade
 from textgrade import GRADES, tokenize
-from textgrade.cli import OutputSpec, format_score, main
+from textgrade.cli import MAX_PRECISION, OutputSpec, format_score, main
 from textgrade.tokenizer import TokenSequence
 
 from reference import ref_classify
@@ -58,7 +59,28 @@ def mixed_manifest(tmp_path):
     return manifest
 
 
+def quantized(value, precision):
+    """The score's shortest repr quantized half up to `precision` places."""
+    with localcontext() as ctx:
+        ctx.prec = max(28, precision + 10)
+        quantum = Decimal(1).scaleb(-precision)
+        return format(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP), "f")
+
+
+# no score, the least subnormal, tiny and small ones, and ties at 2, 1 and 2 places
+EDGE_SCORES = [0.0, 1.0, 5e-324, 1e-300, 2.5e-5, 0.125, 0.05, 0.005]
+
+
 class TestFormatScore:
+    @pytest.mark.parametrize("value", EDGE_SCORES)
+    def test_edge_scores_round_like_quantize_at_every_precision(self, value):
+        for precision in range(1, MAX_PRECISION + 1):
+            assert format_score(value, precision) == quantized(value, precision)
+
+    @given(st.floats(0.0, 1.0), st.integers(1, MAX_PRECISION))
+    def test_rounds_like_quantize(self, value, precision):
+        assert format_score(value, precision) == quantized(value, precision)
+
     def test_half_away_from_zero(self):
         assert format_score(0.125, 2) == "0.13"
         assert format_score(0.135, 2) == "0.14"
@@ -335,7 +357,11 @@ class TestErrors:
         captured = capsys.readouterr()
         return excinfo.value.code, captured.out, captured.err.splitlines()[-1]
 
-    @pytest.mark.parametrize("value", ["0", "325", "x"])
+    # only ASCII digits: not a sign, a space, an underscore or another
+    # script's digit, all of which int() accepts
+    @pytest.mark.parametrize(
+        "value", ["0", "325", "x", "-3", "+3", " 3", "0_3", "\u0661", "\uff13"]
+    )
     @pytest.mark.parametrize("command", ["stats", "matrix", "classify"])
     def test_invalid_precision_is_usage_error(self, capsys, mini_manifest, command, value):
         code, out, last = self.usage_error(
@@ -343,10 +369,10 @@ class TestErrors:
         )
         assert code == 2 and out == ""
         prefix = f"textgrade {command}: error: argument --precision:"
-        if value == "x":
-            assert last.startswith(prefix)
-        else:
+        if value in ("0", "325"):
             assert last == f"{prefix} precision must be from 1 to 324"
+        else:
+            assert last == f"{prefix} invalid int value: {value!r}"
 
     def test_precision_above_the_last_digit_is_usage_error(self, capsys, mini_manifest):
         # 5e-324 is the least positive double: 324 places print every digit
@@ -576,13 +602,18 @@ def manifests(draw):
 
 @st.composite
 def options(draw):
-    """(--format, --precision), either left out, now and then out of range."""
+    """(--format, --precision), either left out, now and then out of range
+    or not a run of ASCII digits."""
     fmt = draw(st.sampled_from([None, "table", "tsv", "json"]))
     if rarely(draw):
         fmt = draw(st.sampled_from(["xml", "JSON", ""]))
     precision = draw(st.sampled_from([None, "1", "2", "9", "12", "17", "324"]))
     if rarely(draw):
-        precision = draw(st.sampled_from(["0", "325", "-3", "x", "1.5", ""]))
+        precision = draw(
+            st.sampled_from(
+                ["0", "325", "-3", "x", "1.5", "", "+3", " 3", "0_3", "\u0661", "\uff13"]
+            )
+        )
     return fmt, precision
 
 
@@ -660,6 +691,7 @@ class TestContract:
             return
         assert code == 0, (code, out, err)
         assert err == ""
+        assert precision is None or (precision.isascii() and precision.isdigit())
         if command != "classify":
             return
         # a grade's text is the newline join of its files in manifest order

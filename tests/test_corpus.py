@@ -50,6 +50,11 @@ def write_corpus(tmp_path, texts_by_grade):
     return manifest
 
 
+def grade_counts(corpus, grade):
+    """A grade's term counts, read off the corpus index."""
+    return {term: row[grade] for term, row in corpus.terms.items() if row[grade]}
+
+
 class TestLoadManifest:
     def test_minimal_valid(self, tmp_path):
         manifest = write_corpus(tmp_path, {g: ["x"] for g in GRADES})
@@ -61,6 +66,13 @@ class TestLoadManifest:
         manifest = write_corpus(tmp_path, {g: ["x"] for g in GRADES})
         _, path = load_manifest(manifest).entries[0]
         assert path.parent == tmp_path
+        # an absolute entry is kept as given, beside a relative one
+        elsewhere = tmp_path / "elsewhere" / "abs.txt"
+        with manifest.open("a", encoding="utf-8") as fh:
+            fh.write(f"1\t{elsewhere}\n2\tsub/rel.txt\n")
+        *_, absolute, relative = load_manifest(manifest).entries
+        assert absolute == (1, elsewhere) and elsewhere.is_absolute()
+        assert relative == (2, tmp_path / "sub" / "rel.txt")
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         manifest = write_corpus(tmp_path, {g: ["x"] for g in GRADES})
@@ -160,14 +172,14 @@ class TestBuildCorpus:
             tmp_path, {1: ["olma nok olma"], 2: ["b"], 3: ["c"], 4: ["d"]}
         )
         corpus = build_corpus(load_manifest(manifest))
-        assert corpus.classes[1].tokens.counts == {"olma": 2, "nok": 1}
+        assert grade_counts(corpus, 1) == {"olma": 2, "nok": 1}
         assert corpus.stats.total_tokens[1] == 3
         assert corpus.stats.unique_tokens[1] == 2
 
     def test_identical_files_give_identical_vocabularies(self, tmp_path):
         manifest = write_corpus(tmp_path, {g: ["olma nok"] for g in GRADES})
         corpus = build_corpus(load_manifest(manifest))
-        vocabs = {frozenset(corpus.classes[g].tokens.counts) for g in GRADES}
+        vocabs = {frozenset(grade_counts(corpus, g)) for g in GRADES}
         assert vocabs == {frozenset({"nok", "olma"})}
 
     def test_grade_files_concatenated_in_manifest_order(self, tmp_path):
@@ -176,7 +188,7 @@ class TestBuildCorpus:
         files = ["olma no", "k behi'", "'olma"]
         manifest = write_corpus(tmp_path, {1: files, 2: ["b"], 3: ["c"], 4: ["d"]})
         corpus = build_corpus(load_manifest(manifest))
-        counts = corpus.classes[1].tokens.counts
+        counts = grade_counts(corpus, 1)
         assert counts == {"olma": 2, "no": 1, "k": 1, "behi": 1}
         assert counts == tokenize("\n".join(files)).counts
         assert corpus.stats.total_tokens[1] == 5
@@ -195,8 +207,11 @@ class TestBuildCorpus:
 
     def test_grade_without_tokens_raises(self, tmp_path):
         manifest = write_corpus(tmp_path, {1: ["x"], 2: ["123 !!!"], 3: ["x"], 4: ["x"]})
-        with pytest.raises(EmptyClassError, match="grade 2"):
-            build_corpus(load_manifest(manifest))
+        for read in (build_corpus, corpus.corpus_stats):
+            with pytest.raises(EmptyClassError) as excinfo:
+                read(load_manifest(manifest))
+            assert excinfo.value.args == (2,)
+            assert str(excinfo.value) == "grade 2 has no tokens"
 
     def test_invalid_utf8_reports_offset(self, tmp_path):
         manifest = write_corpus(tmp_path, {g: ["x"] for g in GRADES})
@@ -338,7 +353,7 @@ class TestDeterminism:
         union = set()
         for text in texts:
             union |= tokenize(text).types
-        assert corpus.classes[1].tokens.counts.keys() == union
+        assert grade_counts(corpus, 1).keys() == union
 
     def test_file_order_within_grade_changes_nothing_but_token_order(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -349,7 +364,7 @@ class TestDeterminism:
         corpus_b = build_corpus(load_manifest(b))
         # rows follow first-seen order, so only the records differ, not the counts
         for g in GRADES:
-            assert corpus_a.classes[g].tokens.counts == corpus_b.classes[g].tokens.counts
+            assert grade_counts(corpus_a, g) == grade_counts(corpus_b, g)
         assert corpus_a.stats == corpus_b.stats
         assert class_similarity_matrix(corpus_a) == class_similarity_matrix(corpus_b)
 

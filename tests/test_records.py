@@ -19,6 +19,8 @@ from textgrade.scoring import (
 )
 from textgrade.tokenizer import TokenSequence
 
+from conftest import MINI_TEXTS
+
 PAIR = PairSimilarity(0.5, 2, 7)
 SEQ = TokenSequence(("olma", "nok", "olma"))
 VOCAB = Vocabulary(("nok", "olma"))
@@ -157,5 +159,5 @@ def test_cached_properties_are_computed_once(mini_manifest):
     assert corpus.classes[1].tokens.counts == Counter({"olma": 2, "nok": 1})
     seq = tokenize("olma nok olma")
     assert seq.counts is seq.counts and seq.types == {"olma", "nok"}
-    coll = DocumentCollection(tuple(corpus.classes[g].tokens for g in GRADES))
+    coll = DocumentCollection(tuple(tokenize(t) for t in MINI_TEXTS.values()))
     assert coll.frequencies is coll.frequencies and coll.frequencies["olma"] == 2

@@ -12,6 +12,7 @@ import pytest
 
 from textgrade import (
     GRADES,
+    ClassDocument,
     DocumentCollection,
     GradedCorpus,
     Vocabulary,
@@ -23,7 +24,7 @@ from textgrade import (
 )
 from textgrade.classifier import CONTAINMENT, COSINE_ARGMAX
 
-from conftest import random_case
+from conftest import MINI_TEXTS, random_case
 from reference import ref_classify, ref_pair_similarity, ref_union_vocab
 
 TOLERANCE = 1e-12
@@ -37,23 +38,22 @@ def dense_pair(query, class_tokens, coll):
 
 
 def random_corpora(seed, count):
+    """(corpus, the token sequences it was built from, query)."""
     rng = random.Random(seed)
     for _ in range(count):
         classes, query = random_case(rng)
-        corpus = GradedCorpus.from_token_sequences(
-            {g: tokenize(" ".join(tokens)) for g, tokens in classes.items()}
-        )
-        yield corpus, tokenize(" ".join(query))
+        sequences = {g: tokenize(" ".join(tokens)) for g, tokens in classes.items()}
+        yield GradedCorpus.from_token_sequences(sequences), sequences, tokenize(" ".join(query))
 
 
 def test_classify_matches_dense_pairs():
     paths = set()
-    for corpus, query in random_corpora(seed=11, count=200):
+    for corpus, sequences, query in random_corpora(seed=11, count=200):
         result = classify(" ".join(query.tokens), corpus)
         paths.add(result.decision)
-        coll = DocumentCollection(tuple(corpus.classes[g].tokens for g in GRADES) + (query,))
+        coll = DocumentCollection(tuple(sequences[g] for g in GRADES) + (query,))
         for g in GRADES:
-            score, shared, _ = dense_pair(query, corpus.classes[g].tokens, coll)
+            score, shared, _ = dense_pair(query, sequences[g], coll)
             assert result.shared_unique[g] == shared
             if result.decision == CONTAINMENT and g == result.chosen_grade:
                 assert result.scores[g] == 1.0
@@ -63,18 +63,18 @@ def test_classify_matches_dense_pairs():
 
 
 def test_pair_similarity_matches_dense_pairs():
-    for corpus, query in random_corpora(seed=12, count=100):
-        coll = DocumentCollection(tuple(corpus.classes[g].tokens for g in GRADES) + (query,))
+    for _, sequences, query in random_corpora(seed=12, count=100):
+        coll = DocumentCollection(tuple(sequences[g] for g in GRADES) + (query,))
         for g in GRADES:
-            pair = pair_similarity(query, corpus.classes[g], coll)
-            score, shared, vocab_size = dense_pair(query, corpus.classes[g].tokens, coll)
+            pair = pair_similarity(query, ClassDocument(g, sequences[g]), coll)
+            score, shared, vocab_size = dense_pair(query, sequences[g], coll)
             assert abs(pair.score - score) <= TOLERANCE
             assert (pair.shared_unique, pair.pair_vocab_size) == (shared, vocab_size)
 
 
 def test_matrix_matches_dense_n4_reference():
-    for corpus, _ in random_corpora(seed=13, count=100):
-        docs = tuple(corpus.classes[g].tokens for g in GRADES)
+    for corpus, sequences, _ in random_corpora(seed=13, count=100):
+        docs = tuple(sequences[g] for g in GRADES)
         coll = DocumentCollection(docs)
         matrix = class_similarity_matrix(corpus)
         for i in GRADES:
@@ -88,20 +88,21 @@ def test_matrix_matches_dense_n4_reference():
                     assert abs(cell.score - score) <= TOLERANCE
                     assert cell == matrix.cell(j, i)
                     # the same integers per df as pair_similarity, so the same bits
-                    assert cell.score == pair_similarity(docs[j - 1], corpus.classes[i], coll).score
+                    class_doc = ClassDocument(i, docs[i - 1])
+                    assert cell.score == pair_similarity(docs[j - 1], class_doc, coll).score
 
 
 def test_classify_equals_pair_similarity_bit_for_bit():
     # both paths add the same integers per df and weigh them alike, so a
     # score drifting by one ulp shows a fault in the corpus index
     scored = 0
-    for corpus, query in random_corpora(seed=14, count=300):
+    for corpus, sequences, query in random_corpora(seed=14, count=300):
         result = classify(" ".join(query.tokens), corpus)
-        coll = DocumentCollection(tuple(corpus.classes[g].tokens for g in GRADES) + (query,))
+        coll = DocumentCollection(tuple(sequences[g] for g in GRADES) + (query,))
         for g in GRADES:
             if result.decision == CONTAINMENT and g == result.chosen_grade:
                 continue
-            pair = pair_similarity(query, corpus.classes[g], coll)
+            pair = pair_similarity(query, ClassDocument(g, sequences[g]), coll)
             assert result.scores[g] == pair.score
             assert result.shared_unique[g] == pair.shared_unique
             scored += 1
@@ -134,13 +135,13 @@ def test_same_bag_of_words_in_two_grades_ties_exactly():
         assert result.chosen_grade == 3
 
 
-def test_scoring_builds_no_dense_vectors(monkeypatch, mini_corpus):
+def test_scoring_builds_no_dense_vectors(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense helper called on a scoring path")
 
     monkeypatch.setattr(Vocabulary, "__post_init__", forbidden)
     monkeypatch.setattr(WeightedVector, "__post_init__", forbidden)
-    corpus = GradedCorpus.from_token_sequences({g: mini_corpus.classes[g].tokens for g in GRADES})
+    corpus = GradedCorpus.from_token_sequences({g: tokenize(t) for g, t in MINI_TEXTS.items()})
     assert classify("olma nok", corpus).decision == CONTAINMENT
     assert classify("olma behi", corpus).decision == COSINE_ARGMAX
     class_similarity_matrix(corpus)

@@ -17,6 +17,8 @@ from textgrade import (
 )
 from textgrade.errors import VocabularyMismatchError, ZeroVectorError
 
+from conftest import MINI_TEXTS
+
 ABC = Vocabulary(("a", "b", "c"))
 
 
@@ -136,7 +138,7 @@ class TestClassSimilarityMatrix:
     def test_diagonal_counts_are_vocabulary_sizes(self, mini_corpus):
         matrix = class_similarity_matrix(mini_corpus)
         for g in GRADES:
-            assert matrix.cell(g, g).shared_unique == len(mini_corpus.classes[g].tokens.types)
+            assert matrix.cell(g, g).shared_unique == len(tokenize(MINI_TEXTS[g]).types)
 
     def test_exactly_symmetric(self, mini_corpus):
         matrix = class_similarity_matrix(mini_corpus)
@@ -165,11 +167,12 @@ class TestClassSimilarityMatrix:
     def test_terms_sharing_one_row_each_count(self):
         # a, b and c share the row (2, 2, 1, 0, 0); x, y and z one row each
         texts = {1: "a b c a b c x", 2: "a b c y", 3: "z", 4: "x y z"}
-        corpus = GradedCorpus.from_token_sequences({g: tokenize(t) for g, t in texts.items()})
+        docs = tuple(tokenize(texts[g]) for g in GRADES)
+        corpus = GradedCorpus.from_token_sequences(dict(zip(GRADES, docs)))
         assert [corpus.terms[t] for t in "abc"] == [(2, 2, 1, 0, 0)] * 3
         matrix = class_similarity_matrix(corpus)
         assert matrix.cell(1, 2).shared_unique == 3
-        docs = tuple(corpus.classes[g].tokens for g in GRADES)
         coll = DocumentCollection(docs)
         for i, j in itertools.combinations(GRADES, 2):
-            assert matrix.cell(i, j) == pair_similarity(docs[j - 1], corpus.classes[i], coll)
+            class_doc = ClassDocument(i, docs[i - 1])
+            assert matrix.cell(i, j) == pair_similarity(docs[j - 1], class_doc, coll)
