@@ -16,6 +16,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from itertools import chain, repeat, zip_longest
+from operator import countOf
 from pathlib import Path
 
 from .errors import (
@@ -90,24 +91,21 @@ class CorpusManifest(Record):
 
 
 def corpus_stats(manifest: CorpusManifest) -> CorpusStats:
-    """The statistics of each grade's term counts (`count_corpus`). Each
-    grade's counts are dropped before the next grade is counted; only the
-    totals, the distinct-term counts and the set of every grade's terms
-    are kept.
+    """The statistics of each grade's term counts, read off the running
+    table of `count_corpus` as each grade is yielded: its total, its
+    nonzero counts, and after the last grade the table's size, the
+    number of distinct terms in the corpus.
 
     Raises EmptyClassError(grade) for a grade without tokens, once every
     grade has been read.
     """
     totals, unique = {}, {}
-    seen: set[str] = set()
-    for grade, grade_counts in count_corpus(manifest):
-        totals[grade] = sum(grade_counts.values())
-        unique[grade] = len(grade_counts)
-        seen.update(grade_counts)
-        del grade_counts
+    for grade, table in count_corpus(manifest):
+        totals[grade] = sum(table.values())
+        unique[grade] = len(table) - countOf(table.values(), 0)
     # built once every grade is read, so that a later grade's unreadable
     # file is reported before an earlier grade's lack of tokens
-    return CorpusStats(totals, unique, len(seen))
+    return CorpusStats(totals, unique, len(table))
 
 
 class GradedCorpus(Record):
@@ -136,7 +134,13 @@ class GradedCorpus(Record):
         """
         if set(sequences) != set(GRADES):
             raise ValueError(f"grades must be exactly {set(GRADES)}, got {set(sequences)}")
-        return _fold((g, sequences[g].counts) for g in GRADES)
+        table: Counter[str] = Counter()
+
+        def counted(grade: int) -> tuple[int, Counter[str]]:
+            _zero(table).update(sequences[grade].tokens)
+            return grade, table
+
+        return _fold(map(counted, GRADES))
 
     @cached_property
     def classes(self) -> dict[int, ClassDocument]:
@@ -241,24 +245,39 @@ def load_manifest(path: str | Path) -> CorpusManifest:
 
 
 def count_corpus(manifest: CorpusManifest) -> Iterator[tuple[int, Counter[str]]]:
-    """Count the terms of every manifest file: yield each grade with its
-    term counts, in grade order.
+    """Count the terms of every manifest file into one running table:
+    yield each grade with the table, in grade order.
+
+    The table is one `Counter` for the whole corpus. Before each grade
+    every count in it is set to 0 in place, then the grade's files are
+    counted into it, so when the grade is yielded the table maps every
+    term seen so far, in first-seen order, to its count in that grade:
+    `+table` is the grade's own counts. Each term's key string is stored
+    once, in the grade that first holds it. The next grade reuses the
+    table, so read what a grade needs before drawing the next one.
 
     A grade's text is the newline join of its files in manifest order:
     `tokenizer.count_terms` gets each file's blocks in turn, a "\n"
     block between files. A grade's files are opened only when the
     iteration reaches that grade, one at a time, so memory holds a few
-    blocks of text beside the counts. A file that cannot be opened, read
+    blocks of text beside the table. A file that cannot be opened, read
     or decoded raises CorpusFileError, which names its manifest line and
     holds the OSError or UnicodeDecodeError as its cause.
     """
+    table: Counter[str] = Counter()
     for grade in GRADES:
         files = [
             (path, f"{manifest.path}:{line}")
             for (g, path), line in zip(manifest.entries, manifest.lines)
             if g == grade
         ]
-        yield grade, count_terms(_newline_join(files))
+        yield grade, count_terms(_newline_join(files), _zero(table))
+
+
+def _zero(table: Counter[str]) -> Counter[str]:
+    """`table` with every count set to 0 in place, its keys and their order kept."""
+    dict.update(table, zip(table, repeat(0)))
+    return table
 
 
 def _newline_join(files: Iterable[tuple[Path, str]]) -> Iterator[str]:
@@ -273,31 +292,31 @@ def _newline_join(files: Iterable[tuple[Path, str]]) -> Iterator[str]:
             raise CorpusFileError(f"{where}: {exc}") from exc
 
 
-def _fold(counts: Iterable[tuple[int, Counter[str]]]) -> GradedCorpus:
-    """Index (grade, counts) pairs in grade order, one grade at a time.
+def _fold(tables: Iterable[tuple[int, Counter[str]]]) -> GradedCorpus:
+    """Index (grade, table) pairs in grade order, one grade at a time, where
+    every pair holds one running table, as `count_corpus` yields them.
 
-    Each grade's counts are merged into a table of every term seen so
-    far, each first set to 0, and the table's values are kept as that
-    grade's count column, in the terms' first-seen order. The counts are
-    dropped before the next pair is drawn; the table keeps the key string
-    of the grade that first held each term. An earlier column lacks
-    exactly the terms first seen later, so the columns padded with 0 give
-    each term its four counts. Each distinct row is built once, weighed
-    into `squares4` once, times the number of terms holding it, and
-    shared by all of them in the table.
+    Each grade's column is the table's values as that grade is drawn:
+    its count of every term seen so far, in first-seen order, 0 where it
+    lacks the term. An earlier column lacks exactly the terms first seen
+    later, so the columns padded with 0 give each term its four counts.
+    After the last grade the table is copied once into the plain `dict`
+    the corpus keeps and then cleared. Each distinct row is built once,
+    weighed into `squares4` once, times the number of terms holding it,
+    and written in place over the counts of every term holding it, so
+    those terms share one tuple.
     """
-    terms: dict = {}
     columns: list[list[int]] = []
     totals, unique = {}, {}
-    for grade, grade_counts in counts:
-        terms = dict.fromkeys(terms, 0)
-        terms.update(grade_counts)
-        columns.append(list(terms.values()))
-        totals[grade], unique[grade] = sum(grade_counts.values()), len(grade_counts)
-        del grade_counts
+    for grade, table in tables:
+        column = list(table.values())
+        columns.append(column)
+        totals[grade], unique[grade] = sum(column), len(column) - column.count(0)
     # built once every grade is read, so that a later grade's unreadable
     # file is reported before an earlier grade's lack of tokens
-    stats = CorpusStats(totals, unique, len(terms))
+    stats = CorpusStats(totals, unique, len(table))
+    terms = dict(table)
+    table.clear()
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     sums = [[0] * (len(GRADES) + 1) for _ in GRADES]
     for counts4, k in Counter(zip_longest(*columns, fillvalue=0)).items():

@@ -16,7 +16,7 @@ import unicodedata
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import cached_property
-from itertools import repeat
+from itertools import islice, repeat
 
 from .record import Record
 
@@ -37,6 +37,16 @@ _REPLACE_LIMIT = 256
 # (`_pieces`), so that counting a long text holds the normalized copies
 # and the word list of one piece at a time, not of the whole text.
 _PIECE = 1 << 16
+
+# Where `_pieces` cuts a block: after its last ASCII space, TAB, LF or CR,
+# or, in a block with none of those, after its last character of
+# `_SEPARATOR_CUTS`. Each of these is a separator that NFC composes with
+# no neighbour and that the final-sigma rule of `str.lower` does not look
+# across (not case-ignorable), so a cut after one changes no token. Some
+# other ASCII punctuation fails one of the two: `<`, `=` and `>` compose
+# with U+0338, and `.`, `:` and `'` are case-ignorable.
+_WHITESPACE_CUTS = " \t\n\r"
+_SEPARATOR_CUTS = ',;!?()[]{}"0123456789'
 
 # The ASCII characters that are letters or whitespace, so never separators.
 # Deleting them from a text's UTF-8 bytes leaves every separator it holds
@@ -122,19 +132,20 @@ def tokenize(raw: str) -> TokenSequence:
 
 def _pieces(blocks: Iterable[str]) -> Iterator[str]:
     """The concatenation of `blocks`, in pieces that each end just after
-    the last ASCII space, TAB, LF or CR of a block, or at the end of the text.
+    the last cut point of a block (`_WHITESPACE_CUTS`, else
+    `_SEPARATOR_CUTS`), or at the end of the text.
 
     A piece is the rest of one block and the head of the next, unless
-    blocks with none of those characters come between: those are held
-    and joined once, so a text without them is one piece. Counting the
-    pieces one by one counts the whole text, because a cut after
-    whitespace changes no token: NFC composes nothing with whitespace,
-    the final-sigma rule of `str.lower` looks only across case-ignorable
-    characters, which whitespace is not, and no word spans whitespace.
+    blocks without a cut point come between: those are held and joined
+    once, so a text without one, such as a single long word, is one
+    piece. Counting the pieces one by one counts the whole text, because
+    a cut after one of those characters changes no token.
     """
     held: list[str] = []
     for block in blocks:
-        cut = max(map(block.rfind, " \t\n\r")) + 1
+        cut = max(map(block.rfind, _WHITESPACE_CUTS)) + 1
+        if not cut:
+            cut = max(map(block.rfind, _SEPARATOR_CUTS)) + 1
         if cut:
             held.append(block[:cut])
             yield "".join(held)
@@ -144,15 +155,18 @@ def _pieces(blocks: Iterable[str]) -> Iterator[str]:
     yield "".join(held)
 
 
-def count_terms(text: str | Iterable[str]) -> Counter[str]:
-    """Occurrences of each token of `text`, a `str` or an iterable of `str`
-    blocks that concatenate to it, such as a file being decoded.
+def count_terms(text: str | Iterable[str], counts: Counter[str] | None = None) -> Counter[str]:
+    """Count each token of `text`, a `str` or an iterable of `str` blocks
+    that concatenate to it, such as a file being decoded, into `counts`
+    (a new `Counter` if none is given), and return it.
 
-    Equal to `Counter(tokenize(text).tokens)` without building a token
-    tuple: a text longer than `_PIECE` characters, and every text given
+    Adds what `Counter(tokenize(text).tokens)` holds, without building
+    a token tuple: a text longer than `_PIECE` characters, and every text given
     in blocks, is counted in pieces (`_pieces`). The letter runs of each
-    piece are counted as they are, then only the distinct runs with an
-    edge apostrophe are stripped and merged.
+    piece are counted as they are, then only the keys this call added
+    that have an edge apostrophe are stripped and merged, so a key
+    string `counts` already holds is reused and never stored twice.
+    `counts` must hold no key with an edge apostrophe.
     """
     if not isinstance(text, str):
         pieces = _pieces(text)
@@ -160,10 +174,16 @@ def count_terms(text: str | Iterable[str]) -> Counter[str]:
         pieces = _pieces(text[i : i + _PIECE] for i in range(0, len(text), _PIECE))
     else:
         pieces = (text,)
-    counts: Counter[str] = Counter()
+    if counts is None:
+        counts = Counter()
+    known = len(counts)
     for piece in pieces:
         counts.update(_words(piece))
-    edged = [w for w in counts if w[0] == CANONICAL_APOSTROPHE or w[-1] == CANONICAL_APOSTROPHE]
+    edged = [
+        w
+        for w in islice(counts, known, None)
+        if w[0] == CANONICAL_APOSTROPHE or w[-1] == CANONICAL_APOSTROPHE
+    ]
     for word in edged:
         n = counts.pop(word)
         term = word.strip(CANONICAL_APOSTROPHE)

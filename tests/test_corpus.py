@@ -446,11 +446,10 @@ class TestReadInBlocks:
         assert got == outcome(lambda: count_terms(read_whole(path)))
 
     def test_whitespace_free_file_counts_whole_in_linear_time(self, tmp_path):
-        # about 4 MB with U+3000 and U+2028 but no ASCII space, TAB, LF or
-        # CR: read whole at the default block size, and in 16-byte blocks
-        # joined once
+        # about 4 MB with ".", U+3000 and U+2028 but no cut point: read
+        # whole at the default block size, and in 16-byte blocks joined once
         path = tmp_path / "wide.txt"
-        path.write_text("Olma,\u2028nok\u3000мактаб\u2028" * 150_000, encoding="utf-8")
+        path.write_text("Olma.\u2028nok\u3000мактаб\u2028" * 150_000, encoding="utf-8")
         expected = count_terms(read_whole(path))
         assert count_terms(read_blocks(path)) == expected
         started = time.perf_counter()
@@ -469,7 +468,7 @@ class TestReadInBlocks:
             fh.write("1\tcr.txt\n")
         tracemalloc.start()
         try:
-            counts = dict(count_corpus(load_manifest(manifest)))
+            counts = {g: +table for g, table in count_corpus(load_manifest(manifest))}
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -493,7 +492,7 @@ class TestReadInBlocks:
         tracemalloc.start()
         try:
             if read == "corpus":
-                counts = dict(count_corpus(load_manifest(manifest)))
+                counts = {g: +table for g, table in count_corpus(load_manifest(manifest))}
             else:
                 code = main(["classify", "--manifest", str(manifest), "--input", str(big)])
             peak = tracemalloc.get_traced_memory()[1]
@@ -536,7 +535,7 @@ class TestCountCorpus:
     def test_grades_count_as_the_newline_join_of_their_files(self, tmp_path_factory, texts, size):
         manifest = write_corpus(tmp_path_factory.mktemp("grades"), texts)
         with mock.patch.object(corpus, "_BLOCK", size):
-            counts = dict(count_corpus(load_manifest(manifest)))
+            counts = {g: +table for g, table in count_corpus(load_manifest(manifest))}
         assert counts == {g: count_terms("\n".join(texts[g])) for g in GRADES}
 
         # an undecodable byte in a grade's second file: the error names
@@ -581,21 +580,100 @@ class TestCountCorpus:
         assert yielded == list(GRADES)
 
 
+# A word with or without an edge apostrophe, in each of the six variants,
+# at either end: Latin, Cyrillic, and capital sigmas that lower to σ or,
+# at a word's end, to ς.
+EDGE_WORD = st.tuples(
+    st.sampled_from(["", "'", "‘", "’", "ʻ", "ʼ", "`"]),
+    st.sampled_from(["olma", "Olma", "nok", "oʻzbek", "мактаб", "МАКТАБ", "ΟΔΟΣ", "ΣΑΣ", "yangi"]),
+    st.sampled_from(["", "'", "‘", "’", "ʻ", "ʼ", "`"]),
+).map("".join)
+EDGE_FILE_TEXT = st.lists(
+    st.tuples(EDGE_WORD, st.sampled_from([" ", "\n", ", ", "."])).map("".join), max_size=8
+).map("".join)
+
+
+def index_of(build):
+    """The index `build()` makes, as plain values, or the args of the
+    EmptyClassError it raises."""
+    try:
+        built = build()
+    except EmptyClassError as exc:
+        return exc.args
+    assert type(built.terms) is dict
+    return built.terms, built.squares4, built.stats
+
+
+class TestRunningTable:
+    # count_corpus yields one table for the whole corpus, zeroed in place
+    # before each grade
+    @given(
+        st.fixed_dictionaries({g: st.lists(EDGE_FILE_TEXT, min_size=1, max_size=3) for g in GRADES}),
+        st.integers(1, 8),
+    )
+    @example(
+        # "yangi" first appears in grade 3, with an edge apostrophe only
+        {1: ["olma ΟΔΟΣ"], 2: ["Olma, nok"], 3: ["'yangi` olma'"], 4: ["ʼnok", "yangi"]},
+        2,
+    )
+    def test_each_grade_reads_its_own_counts_off_the_table(self, tmp_path_factory, texts, size):
+        manifest = load_manifest(write_corpus(tmp_path_factory.mktemp("table"), texts))
+        earlier: set[str] = set()
+        tables = []
+        with mock.patch.object(corpus, "_BLOCK", size):
+            for grade, table in count_corpus(manifest):
+                own = count_terms("\n".join(texts[grade]))
+                assert +table == own
+                # a 0 for exactly the earlier terms this grade lacks
+                assert {term for term, n in table.items() if not n} == earlier - set(own)
+                assert set(table) == earlier | set(own)
+                earlier |= set(own)
+                tables.append(table)
+        assert all(table is tables[0] for table in tables)
+        assert index_of(lambda: build_corpus(manifest)) == index_of(
+            lambda: GradedCorpus.from_token_sequences(
+                {g: tokenize("\n".join(texts[g])) for g in GRADES}
+            )
+        )
+
+
 class TestBuildMemory:
-    def test_build_peak_stays_near_what_the_corpus_keeps(self, tmp_path):
-        # the benchmark's seed-1 corpus, School-sized, whose grades share
-        # most of their words: one grade's counts at a time beside the
-        # index peak at 1.88 times what the corpus keeps, all four grades'
-        # counts at once at 2.38 times (CPython 3.11); a first build fills
-        # the interpreter's free lists, so that they count in neither
-        manifest = load_manifest(gen.write_corpus(gen.Generator(1).corpus(), tmp_path))
-        build_corpus(manifest)
+    # the benchmark's seed-1 corpus, School-sized, whose grades share most
+    # of their words (CPython 3.11); a first build fills the interpreter's
+    # free lists, so that they count in neither
+
+    def traced(self, load, manifest):
+        """`load(manifest)`, what it keeps and its peak, in bytes."""
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            built = build_corpus(manifest)
+            loaded = load(manifest)
             kept, peak = (n - base for n in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
+        return loaded, kept, peak
+
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        path = gen.write_corpus(gen.Generator(1).corpus(), tmp_path_factory.mktemp("seed1"))
+        manifest = load_manifest(path)
+        build_corpus(manifest)
+        return manifest
+
+    def test_build_peak_stays_near_what_the_corpus_keeps(self, manifest):
+        # one running table beside the index peaks at 1.45 times what the
+        # corpus keeps; a Counter per grade, folded through a copy of the
+        # table per grade, peaked at 1.88 times, all four grades' counts
+        # at once at 2.38 times
+        built, kept, peak = self.traced(build_corpus, manifest)
         assert built.stats.overall_unique > 30_000
-        assert peak < 2.1 * kept, f"peak {peak / kept:.2f} times what the corpus keeps"
+        assert peak < 1.6 * kept, f"peak {peak / kept:.2f} times what the corpus keeps"
+
+    def test_stats_peak_stays_near_what_the_build_keeps(self, manifest):
+        # corpus_stats keeps nothing; reading its counts off the running
+        # table peaks at 1.09 times what the build keeps, a Counter per
+        # grade and a set of every term at 1.95 times
+        _, kept, _ = self.traced(build_corpus, manifest)
+        stats, _, peak = self.traced(corpus.corpus_stats, manifest)
+        assert stats.overall_unique > 30_000
+        assert peak < 1.3 * kept, f"peak {peak / kept:.2f} times what the build keeps"

@@ -1,6 +1,7 @@
 import itertools
 import re
 import time
+import tracemalloc
 import unicodedata
 from collections import Counter
 from unittest import mock
@@ -260,9 +261,9 @@ class TestPieces:
         assert count_terms(iter(blocks)) == Counter(tokenize(raw).tokens)
 
     def test_whitespace_free_text_is_one_piece_in_linear_time(self):
-        # U+3000 and U+2028 separate words but are no cut point; blocks of
-        # 16 characters make a join per block cost minutes over 2 MB
-        raw = "Olma,\u2028nok\u3000мактаб\u2028" * 100_000
+        # ".", U+3000 and U+2028 separate words but are no cut point; blocks
+        # of 16 characters make a join per block cost minutes over 2 MB
+        raw = "Olma.\u2028nok\u3000мактаб\u2028" * 100_000
         with mock.patch.object(tokenizer, "_PIECE", 16):
             assert list(tokenizer._pieces([raw[i : i + 16] for i in range(0, 64, 16)])) == [raw[:64]]
             started = time.perf_counter()
@@ -271,3 +272,106 @@ class TestPieces:
         assert counts == {"olma": 100_000, "nok": 100_000, "мактаб": 100_000}
         assert count_terms(raw) == counts
         assert elapsed < 5
+
+
+def nfc(text):
+    return unicodedata.normalize("NFC", text)
+
+
+def composes_with(x):
+    """The code points y for which NFC(x + y) is not x + NFC(y), or NFC(y + x)
+    is not NFC(y) + x: every code point is tried between two copies of x.
+
+    x is ASCII, so it is its own decomposition and a starter: NFC acts on
+    each stretch from one x to the next on its own, and any composition
+    with x removes that x. So a chunk whose NFC equals its pairs' holds
+    no such y, and only chunks that differ are tried one code point at a
+    time.
+    """
+    assert x.isascii() and unicodedata.decomposition(x) == "" and not unicodedata.combining(x)
+    found = set()
+    for start in range(0, 0x110000, 1 << 14):
+        chunk = [chr(c) for c in range(start, min(start + (1 << 14), 0x110000))]
+        whole = x.join(["", *chunk, ""])
+        if nfc(whole) != x.join(["", *map(nfc, chunk), ""]):
+            found.update(y for y in chunk if nfc(x + y + x) != x + nfc(y) + x)
+    return found
+
+
+def sigma_looks_across(x):
+    """Whether `normalize` lowers a capital sigma beside x differently
+    when the text is cut just after x: the final-sigma rule of
+    `str.lower` looks across case-ignorable characters."""
+    return any(
+        normalize(left + x + right) != normalize(left + x) + normalize(right)
+        for left, right in [("αΣ", "β"), ("α", "Σ"), ("αΣ", "Σβ")]
+    )
+
+
+CUTS = tokenizer._WHITESPACE_CUTS + tokenizer._SEPARATOR_CUTS
+
+
+class TestCutPoints:
+    # `_pieces` cuts only where counting the two sides apart counts the same
+
+    @pytest.mark.parametrize("x", CUTS, ids=lambda x: f"U+{ord(x):04X}")
+    def test_nfc_composes_nothing_across_a_cut(self, x):
+        assert composes_with(x) == set()
+
+    def test_nfc_trial_finds_the_characters_left_out(self):
+        # each composes with a combining long solidus overlay, as in ≮
+        for x in "<=>":
+            assert composes_with(x) == {"\u0338"}
+
+    def test_final_sigma_rule_looks_across_no_cut(self):
+        assert [x for x in CUTS if sigma_looks_across(x)] == []
+        # case-ignorable, so left out
+        assert all(map(sigma_looks_across, ".:'"))
+
+    @pytest.mark.parametrize("x", CUTS, ids=lambda x: f"U+{ord(x):04X}")
+    def test_cut_characters_separate_words(self, x):
+        assert normalize(x) == x and not x.isalpha()
+        assert tokenize(f"Olma{x}nok").tokens == ("olma", "nok")
+
+
+# Text without ASCII whitespace, so that `_pieces` cuts only at separators:
+# every cut separator and the ASCII punctuation left out of the cut set,
+# the sigmas, characters that compose or lower with a neighbour (combining
+# acute, dot above and long solidus overlay, İ), every apostrophe variant,
+# Cyrillic and non-ASCII whitespace.
+UNSPACED_UNITS = (
+    list("aeoOΣσςİМактабё") + list(tokenizer._SEPARATOR_CUTS) + list(".:<=>-/")
+    + ["\u0301", "\u0307", "\u0338"] + APOSTROPHE_VARIANTS + ["\u2028", "\u3000"]
+)
+UNSPACED_TEXT = st.lists(st.sampled_from(UNSPACED_UNITS), max_size=120).map("".join)
+
+
+class TestSeparatorCuts:
+    # a block without ASCII space, TAB, LF or CR is cut after a separator
+    @given(UNSPACED_TEXT, st.integers(1, 64), st.lists(st.integers(0, 120), max_size=12))
+    @example("αΣ,β\u0301Σ.Σ(α'Σ)<\u0338 oʻ1ʻzbek", 3, [5, 9, 9, 17])
+    def test_blocks_of_any_size_count_as_the_whole_text(self, raw, size, cuts):
+        expected = Counter(tokenize(raw).tokens)
+        with mock.patch.object(tokenizer, "_PIECE", size):
+            assert count_terms(raw) == expected
+        bounds = [0, *sorted(cuts), len(raw)]
+        blocks = [raw[a:b] for a, b in zip(bounds, bounds[1:])]
+        pieces = list(tokenizer._pieces(blocks))
+        assert "".join(pieces) == raw
+        assert all(piece[-1] in CUTS for piece in pieces[:-1])
+        assert count_terms(iter(blocks)) == expected
+
+    @pytest.mark.parametrize("given_as", ["str", "blocks"])
+    def test_comma_separated_text_counts_in_bounded_memory(self, given_as):
+        # 3.6 million characters (7.2 MB) and no whitespace: held whole, its
+        # normalized copies and word list peaked at 72 MB (CPython 3.11)
+        raw = ",".join(["Olma", "nok", "мактаб", "Oʻzbek", "gʻoʻza", "kitob"] * 100_000)
+        text = raw if given_as == "str" else (raw[i : i + 4096] for i in range(0, len(raw), 4096))
+        tracemalloc.start()
+        try:
+            counts = count_terms(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == {w: 100_000 for w in ["olma", "nok", "мактаб", "oʻzbek", "gʻoʻza", "kitob"]}
+        assert peak < 4_000_000
