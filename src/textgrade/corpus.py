@@ -12,7 +12,7 @@ a classified `--input` included, is read in blocks by `read_blocks`.
 from __future__ import annotations
 
 import codecs
-from collections import Counter
+from collections import Counter, _count_elements
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from itertools import chain, repeat, zip_longest
@@ -113,10 +113,12 @@ class GradedCorpus(Record):
     safe to share among concurrent readers.
 
     It holds what scoring needs from the corpus and nothing else: `terms`
-    maps each corpus term, in first-seen order, to its row
-    `(df4, c1, c2, c3, c4)`, where df4 is the number of grades holding
-    the term and `row[g]` its count in grade g, 0 where g lacks it; terms
-    with equal rows share one tuple. `squares4` holds, per grade, the
+    maps each corpus term to its row `(df4, c1, c2, c3, c4)`, where df4
+    is the number of grades holding the term and `row[g]` its count in
+    grade g, 0 where g lacks it; terms with equal rows share one tuple.
+    Terms are keyed grade by grade in the order the counting met them
+    (`count_corpus`), the one thing in which the two constructors may
+    differ; no score reads the order. `squares4` holds, per grade, the
     sums of its terms' squared counts indexed by df4, and `stats` each
     grade's token total and distinct-term count. No token order is kept:
     TF-IDF reads none. All of it is integers, so it holds no IDF;
@@ -134,10 +136,11 @@ class GradedCorpus(Record):
         """
         if set(sequences) != set(GRADES):
             raise ValueError(f"grades must be exactly {set(GRADES)}, got {set(sequences)}")
-        table: Counter[str] = Counter()
+        table: dict[str, int] = {}
 
-        def counted(grade: int) -> tuple[int, Counter[str]]:
-            _zero(table).update(sequences[grade].tokens)
+        def counted(grade: int) -> tuple[int, dict[str, int]]:
+            # the tokens are stripped already, so they are keyed in text order
+            _count_elements(_zero(table), sequences[grade].tokens)
             return grade, table
 
         return _fold(map(counted, GRADES))
@@ -244,17 +247,20 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     return CorpusManifest(tuple(entries), path, tuple(linenos))
 
 
-def count_corpus(manifest: CorpusManifest) -> Iterator[tuple[int, Counter[str]]]:
+def count_corpus(manifest: CorpusManifest) -> Iterator[tuple[int, dict[str, int]]]:
     """Count the terms of every manifest file into one running table:
     yield each grade with the table, in grade order.
 
-    The table is one `Counter` for the whole corpus. Before each grade
+    The table is one plain `dict` for the whole corpus. Before each grade
     every count in it is set to 0 in place, then the grade's files are
     counted into it, so when the grade is yielded the table maps every
-    term seen so far, in first-seen order, to its count in that grade:
-    `+table` is the grade's own counts. Each term's key string is stored
-    once, in the grade that first holds it. The next grade reuses the
-    table, so read what a grade needs before drawing the next one.
+    term seen so far to its count in that grade; its nonzero counts are
+    the grade's own. Each term's key string is stored once, in the grade
+    that first holds it, and keyed in `count_terms`' order: where its bare
+    form first occurs in the grade's text, or, for a term the grade holds
+    only with an edge apostrophe, after the grade's other new terms. The
+    next grade reuses the table, so read what a grade needs before
+    drawing the next one.
 
     A grade's text is the newline join of its files in manifest order:
     `tokenizer.count_terms` gets each file's blocks in turn, a "\n"
@@ -264,7 +270,7 @@ def count_corpus(manifest: CorpusManifest) -> Iterator[tuple[int, Counter[str]]]
     or decoded raises CorpusFileError, which names its manifest line and
     holds the OSError or UnicodeDecodeError as its cause.
     """
-    table: Counter[str] = Counter()
+    table: dict[str, int] = {}
     for grade in GRADES:
         files = [
             (path, f"{manifest.path}:{line}")
@@ -274,9 +280,9 @@ def count_corpus(manifest: CorpusManifest) -> Iterator[tuple[int, Counter[str]]]
         yield grade, count_terms(_newline_join(files), _zero(table))
 
 
-def _zero(table: Counter[str]) -> Counter[str]:
+def _zero(table: dict[str, int]) -> dict[str, int]:
     """`table` with every count set to 0 in place, its keys and their order kept."""
-    dict.update(table, zip(table, repeat(0)))
+    table.update(zip(table, repeat(0)))
     return table
 
 
@@ -292,31 +298,30 @@ def _newline_join(files: Iterable[tuple[Path, str]]) -> Iterator[str]:
             raise CorpusFileError(f"{where}: {exc}") from exc
 
 
-def _fold(tables: Iterable[tuple[int, Counter[str]]]) -> GradedCorpus:
-    """Index (grade, table) pairs in grade order, one grade at a time, where
-    every pair holds one running table, as `count_corpus` yields them.
+def _fold(tables: Iterable[tuple[int, dict[str, int]]]) -> GradedCorpus:
+    """Index (grade, table) pairs of grades 1-4 in order, one grade at a
+    time, where every pair holds one running plain `dict`, as
+    `count_corpus` yields them; the table becomes the corpus's `terms`.
 
     Each grade's column is the table's values as that grade is drawn:
-    its count of every term seen so far, in first-seen order, 0 where it
-    lacks the term. An earlier column lacks exactly the terms first seen
-    later, so the columns padded with 0 give each term its four counts.
-    After the last grade the table is copied once into the plain `dict`
-    the corpus keeps and then cleared. Each distinct row is built once,
+    its count of every term seen so far, in the table's key order, 0
+    where it lacks the term. Grades 1-3 keep their column as a list; the
+    last grade's column is the table's own values. An earlier column
+    lacks exactly the terms keyed later, so the columns padded with 0
+    give each term its four counts. Each distinct row is built once,
     weighed into `squares4` once, times the number of terms holding it,
-    and written in place over the counts of every term holding it, so
-    those terms share one tuple.
+    and written in place over the last grade's count of every term
+    holding it, so those terms share one tuple.
     """
-    columns: list[list[int]] = []
+    columns: list[Iterable[int]] = []
     totals, unique = {}, {}
     for grade, table in tables:
-        column = list(table.values())
+        column = table.values() if grade == GRADES[-1] else list(table.values())
         columns.append(column)
-        totals[grade], unique[grade] = sum(column), len(column) - column.count(0)
+        totals[grade], unique[grade] = sum(column), len(table) - countOf(column, 0)
     # built once every grade is read, so that a later grade's unreadable
     # file is reported before an earlier grade's lack of tokens
     stats = CorpusStats(totals, unique, len(table))
-    terms = dict(table)
-    table.clear()
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     sums = [[0] * (len(GRADES) + 1) for _ in GRADES]
     for counts4, k in Counter(zip_longest(*columns, fillvalue=0)).items():
@@ -324,8 +329,12 @@ def _fold(tables: Iterable[tuple[int, Counter[str]]]) -> GradedCorpus:
         rows[counts4] = (df4, *counts4)
         for grade_sums, n in zip(sums, counts4):
             grade_sums[df4] += k * n * n
-    terms.update(zip(terms, map(rows.__getitem__, zip_longest(*columns, fillvalue=0))))
-    return GradedCorpus(stats, terms, dict(zip(GRADES, map(tuple, sums))))
+    # zip draws each key, then the row read off the key's own last-grade
+    # count, before the update writes that row over the count: every value
+    # is read before it is written, and no key is added or removed, so the
+    # dict never changes size under the iterators reading it
+    table.update(zip(table, map(rows.__getitem__, zip_longest(*columns, fillvalue=0))))
+    return GradedCorpus(stats, table, dict(zip(GRADES, map(tuple, sums))))
 
 
 def build_corpus(manifest: CorpusManifest) -> GradedCorpus:

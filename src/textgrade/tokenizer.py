@@ -13,7 +13,7 @@ is attempted.
 from __future__ import annotations
 
 import unicodedata
-from collections import Counter
+from collections import Counter, _count_elements
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import islice, repeat
@@ -155,10 +155,10 @@ def _pieces(blocks: Iterable[str]) -> Iterator[str]:
     yield "".join(held)
 
 
-def count_terms(text: str | Iterable[str], counts: Counter[str] | None = None) -> Counter[str]:
+def count_terms(text: str | Iterable[str], counts: dict[str, int] | None = None) -> dict[str, int]:
     """Count each token of `text`, a `str` or an iterable of `str` blocks
-    that concatenate to it, such as a file being decoded, into `counts`
-    (a new `Counter` if none is given), and return it.
+    that concatenate to it, such as a file being decoded, into `counts`,
+    a `dict` or `Counter` (a new `Counter` if none is given), and return it.
 
     Adds what `Counter(tokenize(text).tokens)` holds, without building
     a token tuple: a text longer than `_PIECE` characters, and every text given
@@ -167,6 +167,10 @@ def count_terms(text: str | Iterable[str], counts: Counter[str] | None = None) -
     that have an edge apostrophe are stripped and merged, so a key
     string `counts` already holds is reused and never stored twice.
     `counts` must hold no key with an edge apostrophe.
+
+    So a term new to `counts` is keyed where its bare form first occurs
+    in the text, and a term the text holds only with an edge apostrophe
+    after every other new term, in the order its edged forms first occur.
     """
     if not isinstance(text, str):
         pieces = _pieces(text)
@@ -178,7 +182,8 @@ def count_terms(text: str | Iterable[str], counts: Counter[str] | None = None) -
         counts = Counter()
     known = len(counts)
     for piece in pieces:
-        counts.update(_words(piece))
+        # the C loop of Counter.update, which fills a plain dict alike
+        _count_elements(counts, _words(piece))
     edged = [
         w
         for w in islice(counts, known, None)
@@ -188,5 +193,5 @@ def count_terms(text: str | Iterable[str], counts: Counter[str] | None = None) -
         n = counts.pop(word)
         term = word.strip(CANONICAL_APOSTROPHE)
         if term:
-            counts[term] += n
+            counts[term] = counts.get(term, 0) + n
     return counts
