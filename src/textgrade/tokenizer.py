@@ -25,18 +25,22 @@ CANONICAL_APOSTROPHE = "ʻ"
 # one str.replace per variant is much faster than str.translate on non-ASCII text
 _OTHER_APOSTROPHES = "'‘’ʼ`"
 
-# Above this many distinct separators in one text, one str.translate pass
-# replaces them all instead of one str.replace pass each, so adversarial
-# input cannot make tokenizing quadratic. A translate pass over non-ASCII
-# text costs about as much as 450 replace passes (200k characters,
-# CPython 3.11 on x86-64). Pure-ASCII text has too few distinct
-# characters to reach the limit.
+# Above this many distinct non-ASCII separators in one text, one
+# str.translate pass replaces them all instead of one str.replace pass
+# each, so adversarial input cannot make tokenizing quadratic. A
+# translate pass over non-ASCII text costs about as much as 450 replace
+# passes (200k characters, CPython 3.11 on x86-64). ASCII separators
+# never reach the limit: `_ASCII_SEPARATOR_TABLE` replaces them all in
+# one pass over the bytes.
 _REPLACE_LIMIT = 256
 
-# Texts are counted in pieces cut from blocks of this many characters
-# (`_pieces`), so that counting a long text holds the normalized copies
-# and the word list of one piece at a time, not of the whole text.
-_PIECE = 1 << 16
+# A long `str` is counted in pieces cut from blocks of this many
+# characters (`_pieces`), so that counting it holds the normalized copies
+# and the word list of one piece at a time, not of the whole text. It
+# equals `corpus._BLOCK`, the 16 KiB a file is read in, so a text given
+# as a `str` is held in pieces no larger than the same text read from a
+# file; a larger piece only holds more and counts no faster.
+_PIECE = 1 << 14
 
 # Where `_pieces` cuts a block: after its last ASCII space, TAB, LF or CR,
 # or, in a block with none of those, after its last character of
@@ -48,10 +52,13 @@ _PIECE = 1 << 16
 _WHITESPACE_CUTS = " \t\n\r"
 _SEPARATOR_CUTS = ',;!?()[]{}"0123456789'
 
-# The ASCII characters that are letters or whitespace, so never separators.
-# Deleting them from a text's UTF-8 bytes leaves every separator it holds
-# in about a tenth of the text, on the benchmark's School-sized corpus.
-_ASCII_WORD_BYTES = bytes(c for c in range(128) if chr(c).isalpha() or chr(c).isspace())
+# A byte table that maps every ASCII byte but the letters to a space and
+# leaves the bytes of non-ASCII characters (0x80 and up) as they are, so
+# one pass over a text's UTF-8 bytes removes its ASCII separators.
+_ASCII_SEPARATOR_TABLE = bytes(
+    c if c >= 0x80 or chr(c).isalpha() else 0x20 for c in range(256)
+)
+_ASCII_BYTES = bytes(range(0x80))
 
 
 class TokenSequence(Record):
@@ -94,19 +101,17 @@ def _words(raw: str) -> list[str]:
     """The letter runs of `normalize(raw)`, edge apostrophes not yet stripped.
 
     Every distinct character that is neither a letter nor whitespace is
-    replaced by a space, then the text is split on whitespace. The
-    separators are looked for only among the characters left when the
-    ASCII letters and whitespace are deleted. Deleting bytes below 0x80
-    splits no UTF-8 sequence, and "surrogatepass" carries lone
-    surrogates through, so the remainder decodes to the other characters
-    in order.
+    replaced by a space, then the text is split on whitespace. ASCII
+    characters are replaced in one pass over the UTF-8 bytes
+    (`_ASCII_SEPARATOR_TABLE`), and the other separators are looked for
+    only among the characters left when every ASCII byte is deleted.
+    Replacing or deleting bytes below 0x80 splits no UTF-8 sequence, and
+    "surrogatepass" carries lone surrogates through, so both decode to
+    the same characters in order.
     """
-    text = normalize(raw)
-    rest = (
-        text.encode("utf-8", "surrogatepass")
-        .translate(None, _ASCII_WORD_BYTES)
-        .decode("utf-8", "surrogatepass")
-    )
+    data = normalize(raw).encode("utf-8", "surrogatepass").translate(_ASCII_SEPARATOR_TABLE)
+    text = data.decode("utf-8", "surrogatepass")
+    rest = data.translate(None, _ASCII_BYTES).decode("utf-8", "surrogatepass")
     separators = [ch for ch in set(rest) if not (ch.isalpha() or ch.isspace())]
     if len(separators) > _REPLACE_LIMIT:
         text = text.translate(dict.fromkeys(map(ord, separators), " "))
@@ -161,8 +166,10 @@ def count_terms(text: str | Iterable[str], counts: dict[str, int] | None = None)
     a `dict` or `Counter` (a new `Counter` if none is given), and return it.
 
     Adds what `Counter(tokenize(text).tokens)` holds, without building
-    a token tuple: a text longer than `_PIECE` characters, and every text given
-    in blocks, is counted in pieces (`_pieces`). The letter runs of each
+    a token tuple: every text given in blocks is counted in pieces
+    (`_pieces`), and so is a `str` longer than `_PIECE` (16,384)
+    characters, cut into blocks of that size as a file is read, so that
+    counting holds one piece at a time either way. The letter runs of each
     piece are counted as they are, then only the keys this call added
     that have an edge apostrophe are stripped and merged, so a key
     string `counts` already holds is reused and never stored twice.

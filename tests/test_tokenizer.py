@@ -182,8 +182,12 @@ class TestMatchesRegexReference:
             if unicodedata.category(ch) == "So" and normalize(ch) == ch
         ][:distinct]
         raw = "".join(f"Oʻzbek{sym}мактаб2{sym}'olma' " for sym in symbols)
-        separators = {ch for ch in normalize(raw) if not (ch.isalpha() or ch.isspace())}
-        assert len(separators) == distinct + 1  # the digit 2 as well
+        # the branch counts non-ASCII separators only: the byte table
+        # replaces the digit 2
+        separators = {
+            ch for ch in normalize(raw) if not (ch.isascii() or ch.isalpha() or ch.isspace())
+        }
+        assert len(separators) == distinct
         assert tokenize(raw).tokens == reference_tokens(raw)
         assert len(tokenize(raw)) == 3 * distinct
 
@@ -200,14 +204,16 @@ class TestCountTerms:
 
 
 # Characters that st.text() never draws or rarely draws: lone surrogates
-# (category Cs, which UTF-8 cannot encode), every C0 control, DEL, and
+# (category Cs, which UTF-8 cannot encode), the C0 controls, DEL, and
 # whitespace outside ASCII (next line, no-break, ogham, line separator,
-# ideographic). The separator scan of `tokenize` reads a text's UTF-8
-# bytes, so these are where it could part from the reference.
+# ideographic), with every other ASCII character too. `tokenize` maps
+# each ASCII byte through a table and scans the other characters'
+# UTF-8 bytes for separators, so these are where it could part from the
+# reference.
 UNDRAWN = (
     ["\ud800", "\udfff"]
-    + [chr(c) for c in range(0x20)]
-    + ["\x7f", "\x85", "\xa0", "\u1680", "\u2028", "\u3000"]
+    + [chr(c) for c in range(0x80)]
+    + ["\x85", "\xa0", "\u1680", "\u2028", "\u3000"]
 )
 
 # Any character, lone surrogates included.
@@ -361,11 +367,17 @@ class TestSeparatorCuts:
         assert all(piece[-1] in CUTS for piece in pieces[:-1])
         assert count_terms(iter(blocks)) == expected
 
-    @pytest.mark.parametrize("given_as", ["str", "blocks"])
-    def test_comma_separated_text_counts_in_bounded_memory(self, given_as):
-        # 3.6 million characters (7.2 MB) and no whitespace: held whole, its
-        # normalized copies and word list peaked at 72 MB (CPython 3.11)
-        raw = ",".join(["Olma", "nok", "мактаб", "Oʻzbek", "gʻoʻza", "kitob"] * 100_000)
+    @pytest.mark.parametrize(
+        ("given_as", "joiner"),
+        [("str", ","), ("blocks", ","), ("str", " "), ("blocks", " ")],
+        ids=["str", "blocks", "str-spaced", "blocks-spaced"],
+    )
+    def test_comma_separated_text_counts_in_bounded_memory(self, given_as, joiner):
+        # 3.6 million characters (7.2 MB), joined by commas with no
+        # whitespace or by spaces: held whole, its normalized copies and
+        # word list would peak at 72 MB. Counted in pieces, it peaks at
+        # 0.38 MB as a `str` and 0.10 MB in blocks (CPython 3.11).
+        raw = joiner.join(["Olma", "nok", "мактаб", "Oʻzbek", "gʻoʻza", "kitob"] * 100_000)
         text = raw if given_as == "str" else (raw[i : i + 4096] for i in range(0, len(raw), 4096))
         tracemalloc.start()
         try:
@@ -374,4 +386,4 @@ class TestSeparatorCuts:
         finally:
             tracemalloc.stop()
         assert counts == {w: 100_000 for w in ["olma", "nok", "мактаб", "oʻzbek", "gʻoʻza", "kitob"]}
-        assert peak < 4_000_000
+        assert peak < 1_000_000
