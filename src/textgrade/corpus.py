@@ -116,13 +116,12 @@ class GradedCorpus(Record):
     maps each corpus term to its row `(df4, c1, c2, c3, c4)`, where df4
     is the number of grades holding the term and `row[g]` its count in
     grade g, 0 where g lacks it; terms with equal rows share one tuple.
-    Terms are keyed grade by grade in the order the counting met them
-    (`count_corpus`), the one thing in which the two constructors may
-    differ; no score reads the order. `squares4` holds, per grade, the
-    sums of its terms' squared counts indexed by df4, and `stats` each
-    grade's token total and distinct-term count. No token order is kept:
-    TF-IDF reads none. All of it is integers, so it holds no IDF;
-    scoring weighs it under N = 4 or 5.
+    Terms are keyed grade by grade where their token first occurs; no
+    score reads the order. `squares4` holds, per grade, the sums of its
+    terms' squared counts indexed by df4, and `stats` each grade's token
+    total and distinct-term count. No token order is kept: TF-IDF reads
+    none. All of it is integers, so it holds no IDF; scoring weighs it
+    under N = 4 or 5.
     """
 
     __slots__ = ("stats", "terms", "squares4", "__dict__")
@@ -139,7 +138,6 @@ class GradedCorpus(Record):
         table: dict[str, int] = {}
 
         def counted(grade: int) -> tuple[int, dict[str, int]]:
-            # the tokens are stripped already, so they are keyed in text order
             _count_elements(_zero(table), sequences[grade].tokens)
             return grade, table
 
@@ -255,10 +253,8 @@ def count_corpus(manifest: CorpusManifest) -> Iterator[tuple[int, dict[str, int]
     every count in it is set to 0 in place, then the grade's files are
     counted into it, so when the grade is yielded the table maps every
     term seen so far to its count in that grade; its nonzero counts are
-    the grade's own. Each term's key string is stored once, in the grade
-    that first holds it, and keyed in `count_terms`' order: where its bare
-    form first occurs in the grade's text, or, for a term the grade holds
-    only with an edge apostrophe, after the grade's other new terms. The
+    the grade's own. Each term's key string is stored once, keyed where
+    its token first occurs in the text of the first grade holding it. The
     next grade reuses the table, so read what a grade needs before
     drawing the next one.
 

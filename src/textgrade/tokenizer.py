@@ -16,7 +16,7 @@ import unicodedata
 from collections import Counter, _count_elements
 from collections.abc import Iterable, Iterator
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import repeat
 
 from .record import Record
 
@@ -97,11 +97,12 @@ def normalize(raw: str) -> str:
     return text
 
 
-def _words(raw: str) -> list[str]:
-    """The letter runs of `normalize(raw)`, edge apostrophes not yet stripped.
+def _words(raw: str) -> Iterator[str]:
+    """The tokens of `raw` in order, as `tokenize` defines them.
 
     Every distinct character that is neither a letter nor whitespace is
-    replaced by a space, then the text is split on whitespace. ASCII
+    replaced by a space, the text is split on whitespace, and each run is
+    stripped of its edge apostrophes, empty ones dropped. ASCII
     characters are replaced in one pass over the UTF-8 bytes
     (`_ASCII_SEPARATOR_TABLE`), and the other separators are looked for
     only among the characters left when every ASCII byte is deleted.
@@ -118,7 +119,7 @@ def _words(raw: str) -> list[str]:
     else:
         for ch in separators:
             text = text.replace(ch, " ")
-    return text.split()
+    return filter(None, map(str.strip, text.split(), repeat(CANONICAL_APOSTROPHE)))
 
 
 def tokenize(raw: str) -> TokenSequence:
@@ -131,8 +132,7 @@ def tokenize(raw: str) -> TokenSequence:
     symbols) separate tokens and are discarded. Order and duplicates are
     kept.
     """
-    tokens = filter(None, map(str.strip, _words(raw), repeat(CANONICAL_APOSTROPHE)))
-    return TokenSequence(tuple(tokens))
+    return TokenSequence(tuple(_words(raw)))
 
 
 def _pieces(blocks: Iterable[str]) -> Iterator[str]:
@@ -169,15 +169,8 @@ def count_terms(text: str | Iterable[str], counts: dict[str, int] | None = None)
     a token tuple: every text given in blocks is counted in pieces
     (`_pieces`), and so is a `str` longer than `_PIECE` (16,384)
     characters, cut into blocks of that size as a file is read, so that
-    counting holds one piece at a time either way. The letter runs of each
-    piece are counted as they are, then only the keys this call added
-    that have an edge apostrophe are stripped and merged, so a key
-    string `counts` already holds is reused and never stored twice.
-    `counts` must hold no key with an edge apostrophe.
-
-    So a term new to `counts` is keyed where its bare form first occurs
-    in the text, and a term the text holds only with an edge apostrophe
-    after every other new term, in the order its edged forms first occur.
+    counting holds one piece at a time either way. A term new to `counts`
+    is keyed where its token first occurs in the text.
     """
     if not isinstance(text, str):
         pieces = _pieces(text)
@@ -187,18 +180,7 @@ def count_terms(text: str | Iterable[str], counts: dict[str, int] | None = None)
         pieces = (text,)
     if counts is None:
         counts = Counter()
-    known = len(counts)
     for piece in pieces:
         # the C loop of Counter.update, which fills a plain dict alike
         _count_elements(counts, _words(piece))
-    edged = [
-        w
-        for w in islice(counts, known, None)
-        if w[0] == CANONICAL_APOSTROPHE or w[-1] == CANONICAL_APOSTROPHE
-    ]
-    for word in edged:
-        n = counts.pop(word)
-        term = word.strip(CANONICAL_APOSTROPHE)
-        if term:
-            counts[term] = counts.get(term, 0) + n
     return counts

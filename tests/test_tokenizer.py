@@ -193,14 +193,19 @@ class TestMatchesRegexReference:
 
 
 class TestCountTerms:
-    # build_corpus and classify count terms without a token tuple
-    @given(MIXED_TEXT)
-    @example("'ʻ‘ olma' ’nok` ʼʼ oʻzbek ʻ'ʻ o‘ʼ x`")
-    def test_equals_counting_the_tokens(self, raw):
+    # build_corpus and classify count terms without a token tuple, into a
+    # new table or into one that holds any keys already
+    @given(MIXED_TEXT, st.dictionaries(MIXED_TEXT, st.integers(1, 9), max_size=4))
+    @example("'ʻ‘ olma' ’nok` ʼʼ oʻzbek ʻ'ʻ o‘ʼ x`", {})
+    @example("nok' olma", {})
+    @example("ʻolma olma", {"ʻolma": 5})
+    def test_equals_counting_the_tokens(self, raw, held):
         tokens = tokenize(raw).tokens
-        counts = count_terms(raw)
-        assert sorted(counts.items()) == sorted(Counter(tokens).items())
-        assert sum(counts.values()) == len(tokens)
+        expected = Counter(held)
+        expected.update(tokens)
+        counts = count_terms(raw, dict(held))
+        assert list(counts.items()) == list(expected.items())
+        assert sum(counts.values()) == sum(held.values()) + len(tokens)
 
 
 # Characters that st.text() never draws or rarely draws: lone surrogates
