@@ -10,15 +10,9 @@ from decimal import ROUND_HALF_UP, Decimal, localcontext
 from pathlib import Path
 
 from .classifier import ClassificationResult, classify
-from .corpus import (
-    GRADES,
-    CorpusStats,
-    build_corpus,
-    corpus_stats,
-    load_manifest,
-    read_blocks,
-)
-from .errors import EmptyClassError, TextGradeError
+from .corpus import GRADES, CorpusStats, load_manifest, read_blocks
+from .errors import TextGradeError
+from .index import open_corpus
 from .record import Record
 from .scoring import ClassSimilarityMatrix, class_similarity_matrix
 
@@ -140,15 +134,9 @@ def render_classification(result: ClassificationResult, output: OutputSpec) -> s
 
 
 def _report(args: argparse.Namespace, output: OutputSpec) -> str:
-    manifest = load_manifest(args.manifest)
-    try:
-        if args.command == "stats":
-            # the statistics need the term counts only, not the scoring index
-            return render_stats(corpus_stats(manifest), output)
-        corpus = build_corpus(manifest)
-    except EmptyClassError as exc:
-        files = ", ".join(str(path) for g, path in manifest.entries if g == exc.args[0])
-        raise TextGradeError(f"{exc} in {files}") from None
+    corpus = open_corpus(load_manifest(args.manifest), need_index=args.command != "stats")
+    if args.command == "stats":
+        return render_stats(corpus, output)
     if args.command == "matrix":
         return render_matrix(class_similarity_matrix(corpus), output)
     try:

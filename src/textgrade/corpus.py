@@ -12,8 +12,9 @@ a classified `--input` included, is read in blocks by `read_blocks`.
 from __future__ import annotations
 
 import codecs
+import zlib
 from collections import Counter, _count_elements
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Generator, Iterable, Iterator, Mapping
 from functools import cached_property
 from itertools import chain, repeat, zip_longest
 from operator import countOf
@@ -169,8 +170,10 @@ class _FileDecodeError(UnicodeDecodeError):
         return f"'{self.encoding}' codec can't decode {where}: {self.reason}"
 
 
-def read_blocks(path: Path) -> Iterator[str]:
-    """The text of a UTF-8 file, decoded block by block.
+def read_blocks(path: Path) -> Generator[str, None, tuple[int, int]]:
+    """The text of a UTF-8 file, decoded block by block; the generator
+    returns the byte length and the CRC-32 of the bytes it decoded, so
+    `size, crc = yield from read_blocks(path)` names what was read.
 
     A decoding error names the file and the offset of the bad bytes from
     its start, in the words the codec uses for a whole file. A byte-order
@@ -178,13 +181,14 @@ def read_blocks(path: Path) -> Iterator[str]:
     both, and `load_manifest` drops the one and translates the other.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
-    read = 0
+    read = crc = 0
     with open(path, "rb") as fh:
         while True:
             # the decoder's input starts with the bytes it held back last time
             start = read - len(decoder.getstate()[0])
             block = fh.read(_BLOCK)
             read += len(block)
+            crc = zlib.crc32(block, crc)
             try:
                 text = decoder.decode(block, final=not block)
             except UnicodeDecodeError as exc:
@@ -197,7 +201,7 @@ def read_blocks(path: Path) -> Iterator[str]:
                 ) from None
             yield text
             if not block:
-                return
+                return read, crc
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
@@ -245,7 +249,9 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     return CorpusManifest(tuple(entries), path, tuple(linenos))
 
 
-def count_corpus(manifest: CorpusManifest) -> Iterator[tuple[int, dict[str, int]]]:
+def count_corpus(
+    manifest: CorpusManifest, digests: dict[int, tuple[int, int]] | None = None
+) -> Iterator[tuple[int, dict[str, int]]]:
     """Count the terms of every manifest file into one running table:
     yield each grade with the table, in grade order.
 
@@ -265,15 +271,19 @@ def count_corpus(manifest: CorpusManifest) -> Iterator[tuple[int, dict[str, int]
     blocks of text beside the table. A file that cannot be opened, read
     or decoded raises CorpusFileError, which names its manifest line and
     holds the OSError or UnicodeDecodeError as its cause.
+
+    If `digests` is given, a `dict`, each file counted puts in it, under
+    the file's position in `manifest.entries`, the byte length and the
+    CRC-32 of the bytes counted (`read_blocks`).
     """
     table: dict[str, int] = {}
     for grade in GRADES:
         files = [
-            (path, f"{manifest.path}:{line}")
-            for (g, path), line in zip(manifest.entries, manifest.lines)
+            (i, path, f"{manifest.path}:{line}")
+            for i, ((g, path), line) in enumerate(zip(manifest.entries, manifest.lines))
             if g == grade
         ]
-        yield grade, count_terms(_newline_join(files), _zero(table))
+        yield grade, count_terms(_newline_join(files, digests), _zero(table))
 
 
 def _zero(table: dict[str, int]) -> dict[str, int]:
@@ -282,16 +292,21 @@ def _zero(table: dict[str, int]) -> dict[str, int]:
     return table
 
 
-def _newline_join(files: Iterable[tuple[Path, str]]) -> Iterator[str]:
-    """The blocks of each (path, manifest line) file in turn, with a "\n"
-    block between files."""
-    for i, (path, where) in enumerate(files):
-        if i:
+def _newline_join(
+    files: Iterable[tuple[int, Path, str]], digests: dict[int, tuple[int, int]] | None
+) -> Iterator[str]:
+    """The blocks of each (entry position, path, manifest line) file in
+    turn, with a "\n" block between files; each file's (byte length,
+    CRC-32) goes into `digests`, if given, under its entry position."""
+    for n, (i, path, where) in enumerate(files):
+        if n:
             yield "\n"
         try:
-            yield from read_blocks(path)
+            digest = yield from read_blocks(path)
         except (OSError, UnicodeDecodeError) as exc:
             raise CorpusFileError(f"{where}: {exc}") from exc
+        if digests is not None:
+            digests[i] = digest
 
 
 def _fold(tables: Iterable[tuple[int, dict[str, int]]]) -> GradedCorpus:
@@ -333,9 +348,11 @@ def _fold(tables: Iterable[tuple[int, dict[str, int]]]) -> GradedCorpus:
     return GradedCorpus(stats, table, dict(zip(GRADES, map(tuple, sums))))
 
 
-def build_corpus(manifest: CorpusManifest) -> GradedCorpus:
+def build_corpus(
+    manifest: CorpusManifest, digests: dict[int, tuple[int, int]] | None = None
+) -> GradedCorpus:
     """Count the terms of every manifest file into the per-grade
-    documents (`count_corpus`) and index them one grade at a time; a
-    grade whose files hold no tokens raises EmptyClassError, once every
-    grade has been read."""
-    return _fold(count_corpus(manifest))
+    documents (`count_corpus`, which fills `digests` if given) and index
+    them one grade at a time; a grade whose files hold no tokens raises
+    EmptyClassError, once every grade has been read."""
+    return _fold(count_corpus(manifest, digests))

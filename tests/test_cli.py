@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import zlib
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from pathlib import Path
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 import textgrade
 from textgrade import GRADES, tokenize
 from textgrade.cli import MAX_PRECISION, OutputSpec, format_score, main
+from textgrade.corpus import build_corpus, load_manifest
+from textgrade.index import SUFFIX, build_and_store, load_index
 from textgrade.tokenizer import TokenSequence
 
 from reference import ref_classify
@@ -532,6 +535,224 @@ class TestErrors:
         assert "No space left on device" in err
 
 
+def index_file(manifest):
+    return Path(f"{manifest}{SUFFIX}")
+
+
+def resealed(lines):
+    """An index file of these lines, the last, its CRC line, recomputed
+    over the lines after the key."""
+    body = b"".join(lines[1:-1])
+    return lines[0] + body + b"%08x\n" % zlib.crc32(body)
+
+
+def damaged(data, damage):
+    """The index file `data` with one kind of damage. The inconsistent ones
+    are resealed with a good CRC, so that a check other than the CRC's
+    must reject them."""
+    lines = data.splitlines(keepends=True)
+    first_term = lines.index(b"\n") + 1  # the term lines follow the empty line
+    term = lines[first_term].split(b" ")[1]
+    if damage == "truncated":
+        return data[:-40]
+    if damage == "bit-flipped":
+        # in the last byte of the first term, which only the CRC shows
+        at = len(b"".join(lines[: first_term + 1])) - 2
+        return data[:at] + bytes([data[at] ^ 0x02]) + data[at + 1 :]
+    if damage == "foreign first line":
+        return b"textgrade-index 0 of another corpus\n" + b"".join(lines[1:])
+    if damage == "k changed":
+        lines[1] = lines[1].rstrip(b"\n") + b"1\n"
+    elif damage == "df4 changed":
+        # to another grade count, which is not the row's count of nonzero counts
+        lines[1] = (b"3" if lines[1].startswith(b"4") else b"4") + lines[1][1:]
+    elif damage == "counts all zero":
+        lines[1] = b"0 0 0 0 0 " + lines[1].split(b" ")[-1]
+    elif damage == "term duplicated":
+        # the second term line names the first line's term
+        lines[first_term + 1] = lines[first_term + 1].split(b" ")[0] + b" " + term
+    elif damage == "row out of range":
+        lines[first_term] = b"99999 " + term
+    return resealed(lines)
+
+
+BAD_INDEXES = [
+    "truncated",
+    "bit-flipped",
+    "foreign first line",
+    "k changed",
+    "df4 changed",
+    "counts all zero",
+    "term duplicated",
+    "row out of range",
+]
+
+
+class TestStoredIndex:
+    """`classify` and `matrix` store the corpus index beside the manifest,
+    and every later run whose corpus files still match it loads it
+    instead of counting them."""
+
+    @staticmethod
+    def argv(manifest, command, fmt="table"):
+        argv = [command, "--manifest", str(manifest), "--format", fmt]
+        if command == "classify":
+            argv += ["--input", str(manifest.parent / "query.txt")]
+        return argv
+
+    @staticmethod
+    def uncounted(monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("corpus counted despite a stored index")
+
+        monkeypatch.setattr(textgrade.corpus, "count_corpus", forbidden)
+
+    @pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
+    @pytest.mark.parametrize("command", ["stats", "classify", "matrix"])
+    def test_second_run_loads_the_index(self, capsys, monkeypatch, mixed_manifest, command, fmt):
+        golden = (GOLDEN / f"{command}.{fmt}").read_text(encoding="utf-8")
+        assert run(capsys, *self.argv(mixed_manifest, command, fmt)) == (0, golden, "")
+        # a stats run that misses counts the statistics alone and stores nothing
+        assert index_file(mixed_manifest).exists() == (command != "stats")
+        if command == "stats":
+            assert run(capsys, *self.argv(mixed_manifest, "matrix"))[0] == 0
+        self.uncounted(monkeypatch)
+        assert run(capsys, *self.argv(mixed_manifest, command, fmt)) == (0, golden, "")
+
+    @pytest.mark.parametrize("damage", BAD_INDEXES)
+    @pytest.mark.parametrize("command", ["stats", "classify", "matrix"])
+    def test_bad_index_is_rebuilt(self, capsys, mixed_manifest, command, damage):
+        assert run(capsys, *self.argv(mixed_manifest, "matrix"))[0] == 0
+        path = index_file(mixed_manifest)
+        good = path.read_bytes()
+        path.write_bytes(damaged(good, damage))
+        assert load_index(load_manifest(mixed_manifest)) is None
+        golden = (GOLDEN / f"{command}.table").read_text(encoding="utf-8")
+        assert run(capsys, *self.argv(mixed_manifest, command)) == (0, golden, "")
+        # stats stores nothing; the other commands store the index again
+        assert (path.read_bytes() == good) == (command != "stats")
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["corpus same length", "corpus appended", "manifest reordered", "manifest appended"],
+    )
+    @pytest.mark.parametrize("command", ["stats", "matrix"])
+    def test_edit_after_the_write_is_counted(self, capsys, mixed_manifest, command, edit):
+        assert run(capsys, *self.argv(mixed_manifest, "matrix"))[0] == 0
+        before = run(capsys, *self.argv(mixed_manifest, command, "tsv"))
+        folder = mixed_manifest.parent
+        if edit == "corpus same length":
+            text = (folder / "class-3.txt").read_text(encoding="utf-8")
+            (folder / "class-3.txt").write_text(text.replace("olma", "nokk"), encoding="utf-8")
+        elif edit == "corpus appended":
+            with (folder / "class-1.txt").open("a", encoding="utf-8") as fh:
+                fh.write(" yangi soʻz")
+        elif edit == "manifest reordered":
+            mixed_manifest.write_text("1\tclass-2.txt\n2\tclass-1.txt\n3\tclass-3.txt\n4\tclass-4.txt\n")
+        else:
+            with mixed_manifest.open("a", encoding="utf-8") as fh:
+                fh.write("4\tclass-1.txt\n")
+        after = run(capsys, *self.argv(mixed_manifest, command, "tsv"))
+        index_file(mixed_manifest).unlink()
+        fresh = run(capsys, *self.argv(mixed_manifest, command, "tsv"))
+        assert after == fresh and after[0] == 0
+        assert after != before
+
+    def test_file_edited_during_the_build_is_counted_again(
+        self, capsys, monkeypatch, mixed_manifest
+    ):
+        # the index is stored under the key of the bytes counted, so an
+        # edit made after a file was read does not match it
+        edited = mixed_manifest.parent / "class-3.txt"
+        real_read_blocks = textgrade.corpus.read_blocks
+
+        def edit_after_reading(path):
+            digest = yield from real_read_blocks(path)
+            if path == edited:
+                with edited.open("a", encoding="utf-8") as fh:
+                    fh.write(" yangi soʻz")
+            return digest
+
+        monkeypatch.setattr(textgrade.corpus, "read_blocks", edit_after_reading)
+        during = run(capsys, *self.argv(mixed_manifest, "stats", "tsv"))
+        assert run(capsys, *self.argv(mixed_manifest, "matrix"))[0] == 0
+        monkeypatch.undo()
+        after = run(capsys, *self.argv(mixed_manifest, "stats", "tsv"))
+        index_file(mixed_manifest).unlink()
+        assert after == run(capsys, *self.argv(mixed_manifest, "stats", "tsv"))
+        assert after != during
+
+    @pytest.mark.parametrize("call", ["open", "replace"])
+    def test_failed_write_is_silent(self, capsys, monkeypatch, mixed_manifest, call):
+        # file modes do not stop root, so the denial is simulated
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, call, denied)
+        golden = (GOLDEN / "classify.table").read_text(encoding="utf-8")
+        assert run(capsys, *self.argv(mixed_manifest, "classify")) == (0, golden, "")
+        monkeypatch.undo()
+        # no index, and no half-written file left behind
+        assert sorted(p.name for p in mixed_manifest.parent.iterdir()) == [
+            *(f"class-{g}.txt" for g in GRADES),
+            "manifest.tsv",
+            "query.txt",
+        ]
+
+    @pytest.mark.parametrize("loss", ["deleted", "unreadable"])
+    def test_corpus_file_lost_after_the_write(self, capsys, monkeypatch, mixed_manifest, loss):
+        assert run(capsys, *self.argv(mixed_manifest, "matrix"))[0] == 0
+        lost = mixed_manifest.parent / "class-3.txt"
+        if loss == "deleted":
+            lost.unlink()
+            reason = "[Errno 2] No such file or directory"
+        else:
+            real_open = open
+
+            def denied(file, *args, **kwargs):
+                if str(file) == str(lost):
+                    raise PermissionError(13, "Permission denied", str(file))
+                return real_open(file, *args, **kwargs)
+
+            monkeypatch.setattr("builtins.open", denied)
+            reason = "[Errno 13] Permission denied"
+        for command in ["stats", "classify", "matrix"]:
+            code, out, err = run(capsys, *self.argv(mixed_manifest, command))
+            assert (code, out) == (1, "")
+            assert err == f"error: {mixed_manifest}:3: {reason}: '{lost}'\n"
+
+    @pytest.mark.parametrize("fixture", ["mini_manifest", "mixed_manifest"])
+    def test_loaded_corpus_equals_the_built_one(self, request, fixture):
+        manifest = load_manifest(request.getfixturevalue(fixture))
+        built = build_and_store(manifest)
+        loaded = load_index(manifest)
+        assert list(loaded.terms.items()) == list(built.terms.items())
+        assert loaded.squares4 == built.squares4
+        assert loaded.stats == built.stats
+        assert built == build_corpus(manifest)
+
+    def test_a_hit_imports_neither_json_nor_hashlib(self, capsys, mixed_manifest):
+        assert run(capsys, *self.argv(mixed_manifest, "matrix"))[0] == 0
+        src = Path(textgrade.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        script = (
+            "import sys, textgrade.corpus\n"
+            "textgrade.corpus.count_corpus = None\n"
+            "from textgrade.cli import main\n"
+            f"code = main({self.argv(mixed_manifest, 'classify')!r})\n"
+            "print(code, sorted({'json', 'hashlib'} & sys.modules.keys()))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
+            text=True,
+            timeout=60,
+        )
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 # Pieces of corpus and query text: Latin, Cyrillic, oʻ and gʻ spelled
 # with each apostrophe variant, combining marks, separators only, nothing.
 FRAGMENTS = [
@@ -641,7 +862,21 @@ def printed_classification(out, fmt):
 class TestContract:
     """Odd manifests, corpus texts and arguments, run through `main` in
     process: each run ends in a report, one `error:` line, or an argparse
-    usage error, and never in a traceback."""
+    usage error, and never in a traceback; run again, it ends alike."""
+
+    @staticmethod
+    def run_main(argv, block):
+        """The exit code, stdout and stderr of `main(argv)`."""
+        out, err = io.StringIO(), io.StringIO()
+        # small blocks put bad bytes and multi-byte characters on block edges
+        with redirect_stdout(out), redirect_stderr(err), mock.patch.object(
+            textgrade.corpus, "_BLOCK", block
+        ):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -671,16 +906,9 @@ class TestContract:
                 argv += ["--format", fmt]
             if precision is not None:
                 argv += ["--precision", precision]
-            out, err = io.StringIO(), io.StringIO()
-            # small blocks put bad bytes and multi-byte characters on block edges
-            with redirect_stdout(out), redirect_stderr(err), mock.patch.object(
-                textgrade.corpus, "_BLOCK", block
-            ):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-        out, err = out.getvalue(), err.getvalue()
+            # the first run may store the corpus index, which the second loads
+            code, out, err = self.run_main(argv, block)
+            assert self.run_main(argv, block) == (code, out, err)
         if code == 2:
             assert out == ""
             assert err.splitlines()[-1].startswith(f"textgrade {command}: error:")

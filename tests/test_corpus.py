@@ -2,6 +2,7 @@ import random
 import sys
 import time
 import tracemalloc
+import zlib
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -450,6 +451,18 @@ class TestReadInBlocks:
         got = outcome(lambda: read_in_blocks(path, size))
         assert got == outcome(lambda: count_terms(read_whole(path)))
 
+    @given(FILE_TEXT, st.integers(1, 8))
+    def test_returns_the_length_and_crc_of_the_bytes(self, tmp_path_factory, text, size):
+        # the generator's value, which keys the stored index
+        data = text.encode("utf-8")
+        path = tmp_path_factory.mktemp("blocks") / "text.txt"
+        path.write_bytes(data)
+        blocks = read_blocks(path)
+        with mock.patch.object(corpus, "_BLOCK", size), pytest.raises(StopIteration) as stop:
+            while True:
+                next(blocks)
+        assert stop.value.value == (len(data), zlib.crc32(data))
+
     def test_whitespace_free_file_counts_whole_in_linear_time(self, tmp_path):
         # about 4 MB with ".", U+3000 and U+2028 but no cut point: read
         # whole at the default block size, and in 16-byte blocks joined once
@@ -561,6 +574,16 @@ class TestCountCorpus:
             f"{manifest}:{line}: 'utf-8' codec can't decode byte 0xff in position {len(good)}: "
             f"invalid start byte in {second}"
         )
+
+    def test_digests_hold_each_entrys_length_and_crc(self, tmp_path):
+        # keyed by manifest position, though grades are read in grade order
+        manifest = load_manifest(
+            write_corpus(tmp_path, {g: ["olma", f"nok {g}"] for g in (4, 2, 3, 1)})
+        )
+        digests = {}
+        assert build_corpus(manifest, digests) == build_corpus(manifest)
+        data = [path.read_bytes() for _, path in manifest.entries]
+        assert digests == {i: (len(d), zlib.crc32(d)) for i, d in enumerate(data)}
 
     def test_grades_are_read_one_at_a_time(self, tmp_path):
         # a grade's files are opened only once the previous grade's counts
