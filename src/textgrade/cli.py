@@ -134,9 +134,9 @@ def render_classification(result: ClassificationResult, output: OutputSpec) -> s
 
 
 def _report(args: argparse.Namespace, output: OutputSpec) -> str:
-    corpus = open_corpus(load_manifest(args.manifest), need_index=args.command != "stats")
+    corpus = open_corpus(load_manifest(args.manifest))
     if args.command == "stats":
-        return render_stats(corpus, output)
+        return render_stats(corpus.stats, output)
     if args.command == "matrix":
         return render_matrix(class_similarity_matrix(corpus), output)
     try:

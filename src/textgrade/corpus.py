@@ -91,24 +91,6 @@ class CorpusManifest(Record):
     __slots__ = ("entries", "path", "lines")
 
 
-def corpus_stats(manifest: CorpusManifest) -> CorpusStats:
-    """The statistics of each grade's term counts, read off the running
-    table of `count_corpus` as each grade is yielded: its total, its
-    nonzero counts, and after the last grade the table's size, the
-    number of distinct terms in the corpus.
-
-    Raises EmptyClassError(grade) for a grade without tokens, once every
-    grade has been read.
-    """
-    totals, unique = {}, {}
-    for grade, table in count_corpus(manifest):
-        totals[grade] = sum(table.values())
-        unique[grade] = len(table) - countOf(table.values(), 0)
-    # built once every grade is read, so that a later grade's unreadable
-    # file is reported before an earlier grade's lack of tokens
-    return CorpusStats(totals, unique, len(table))
-
-
 class GradedCorpus(Record):
     """Immutable index of the four class documents. Treat as read-only;
     safe to share among concurrent readers.

@@ -7,6 +7,7 @@ import tempfile
 import zlib
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import ROUND_HALF_UP, Decimal, localcontext
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -288,16 +289,16 @@ class TestReportBytes:
         assert table == {**tsv, **diagonal}
 
     @pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
-    def test_stats_builds_no_index(self, capsys, monkeypatch, mixed_manifest, fmt):
-        # the statistics come from the term counts alone; every index is
-        # built by corpus._fold
-        def forbidden(*args, **kwargs):
-            raise AssertionError("corpus index built for stats")
-
-        monkeypatch.setattr(textgrade.corpus, "_fold", forbidden)
+    def test_stats_stores_the_index(self, capsys, monkeypatch, mixed_manifest, fmt):
+        # every command opens the corpus one way: a stats run that misses
+        # builds the index and stores it, and a later matrix loads it
         self.assert_pinned(capsys, mixed_manifest, "stats", fmt)
-        with pytest.raises(AssertionError, match="index built"):
-            run(capsys, "matrix", "--manifest", str(mixed_manifest), "--format", fmt)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("corpus counted despite a stored index")
+
+        monkeypatch.setattr(textgrade.corpus, "count_corpus", forbidden)
+        self.assert_pinned(capsys, mixed_manifest, "matrix", fmt)
 
 
 class TestErrors:
@@ -539,59 +540,140 @@ def index_file(manifest):
     return Path(f"{manifest}{SUFFIX}")
 
 
-def resealed(lines):
-    """An index file of these lines, the last, its CRC line, recomputed
-    over the lines after the key."""
-    body = b"".join(lines[1:-1])
-    return lines[0] + body + b"%08x\n" % zlib.crc32(body)
+def split_lines(section):
+    """The LF-ended lines of `section`, each with its LF."""
+    return [line + b"\n" for line in section.split(b"\n")[:-1]]
+
+
+def sections(data):
+    """The key line, the row lines, the row numbers, their width and the
+    term lines of the index file `data`."""
+    key, head, rest = data.split(b"\n", 2)
+    row_bytes, count, width = map(int, head.split())
+    end = row_bytes + count * width
+    rows, packed, terms = rest[:row_bytes], rest[row_bytes:end], rest[end:-9]
+    starts = range(0, len(packed), width)
+    numbers = [int.from_bytes(packed[i : i + width], "little") for i in starts]
+    return key + b"\n", split_lines(rows), numbers, width, split_lines(terms)
+
+
+def sealed(key, rows, numbers, width, terms, count=None):
+    """An index file of these sections, its header and its CRC line made
+    from them; the header states `count` terms if given, else one per
+    row number."""
+    body = b"".join(rows)
+    head = b"%d %d %d\n" % (len(body), len(numbers) if count is None else count, width)
+    body = head + body + b"".join(n.to_bytes(width, "little") for n in numbers) + b"".join(terms)
+    return key + body + b"%08x\n" % zlib.crc32(body)
 
 
 def damaged(data, damage):
     """The index file `data` with one kind of damage. The inconsistent ones
-    are resealed with a good CRC, so that a check other than the CRC's
+    are sealed with a good CRC, so that a check other than the CRC's
     must reject them."""
-    lines = data.splitlines(keepends=True)
-    first_term = lines.index(b"\n") + 1  # the term lines follow the empty line
-    term = lines[first_term].split(b" ")[1]
+    key, rows, numbers, width, terms = sections(data)
     if damage == "truncated":
         return data[:-40]
     if damage == "bit-flipped":
         # in the last byte of the first term, which only the CRC shows
-        at = len(b"".join(lines[: first_term + 1])) - 2
+        at = len(data) - len(b"".join(terms)) - 9 + len(terms[0]) - 2
         return data[:at] + bytes([data[at] ^ 0x02]) + data[at + 1 :]
     if damage == "foreign first line":
-        return b"textgrade-index 0 of another corpus\n" + b"".join(lines[1:])
+        return b"textgrade-index 0 of another corpus\n" + data[len(key) :]
+    if damage == "format 1":
+        # the same corpus as the format before, rows, an empty line, then
+        # "<row number> <term>" lines, under that format's key
+        key = key.replace(b"textgrade-index 2 ", b"textgrade-index 1 ")
+        body = b"".join(rows) + b"\n"
+        body += b"".join(b"%d %s" % (n, term) for n, term in zip(numbers, terms))
+        return key + body + b"%08x\n" % zlib.crc32(body)
+    count = len(numbers)
     if damage == "k changed":
-        lines[1] = lines[1].rstrip(b"\n") + b"1\n"
+        rows[0] = rows[0].rstrip(b"\n") + b"1\n"
     elif damage == "df4 changed":
         # to another grade count, which is not the row's count of nonzero counts
-        lines[1] = (b"3" if lines[1].startswith(b"4") else b"4") + lines[1][1:]
+        rows[0] = (b"3" if rows[0].startswith(b"4") else b"4") + rows[0][1:]
+    elif damage == "df4 zero":
+        # the first row, the one most terms name, has one grade's count
+        assert rows[0].startswith(b"1 ")
+        rows[0] = b"0" + rows[0][1:]
     elif damage == "counts all zero":
-        lines[1] = b"0 0 0 0 0 " + lines[1].split(b" ")[-1]
+        rows[0] = b"0 0 0 0 0 " + rows[0].split(b" ")[-1]
+    elif damage == "count negative":
+        # still one nonzero count, as df4 says
+        fields = rows[0].split(b" ")
+        at = next(i for i in range(1, 5) if fields[i] != b"0")
+        fields[at] = b"-" + fields[at]
+        rows[0] = b" ".join(fields)
+    elif damage == "row of seven numbers":
+        rows[-1] = rows[-1].rstrip(b"\n") + b" 1\n"
     elif damage == "term duplicated":
-        # the second term line names the first line's term
-        lines[first_term + 1] = lines[first_term + 1].split(b" ")[0] + b" " + term
+        terms[1] = terms[0]
+    elif damage == "term line empty":
+        terms[0] = b"\n"
+    elif damage == "term line added":
+        terms.append(b"yangi\n")
     elif damage == "row out of range":
-        lines[first_term] = b"99999 " + term
-    return resealed(lines)
+        numbers[0] = (1 << 8 * width) - 1
+    elif damage == "row number at the row count":
+        numbers[0] = len(rows)
+    elif damage == "row named once more and once less":
+        # the sum of k still holds
+        other = next(n for n in numbers if n != numbers[0])
+        numbers[numbers.index(other)] = numbers[0]
+    elif damage == "row numbers short":
+        # the header still states every term
+        numbers.pop()
+    elif damage == "width 3":
+        width = 3
+    elif damage == "sections past the end":
+        # read without the check, a block this long would not fit in memory
+        count = 10**15
+    return sealed(key, rows, numbers, width, terms, count)
 
 
 BAD_INDEXES = [
     "truncated",
     "bit-flipped",
     "foreign first line",
+    "format 1",
     "k changed",
     "df4 changed",
+    "df4 zero",
     "counts all zero",
+    "count negative",
+    "row of seven numbers",
     "term duplicated",
+    "term line empty",
+    "term line added",
     "row out of range",
+    "row number at the row count",
+    "row named once more and once less",
+    "row numbers short",
+    "width 3",
+    "sections past the end",
 ]
 
 
+@pytest.fixture
+def many_rows_manifest(tmp_path):
+    """A corpus of 13 distinct rows, so that one row number is 10, the
+    byte 0x0A: twelve Cyrillic terms of grade 1, the nth of them n times,
+    and one term of every other grade."""
+    words = [f"сўз{chr(0x430 + n)}" for n in range(12)]
+    texts = {1: " ".join(" ".join([w] * n) for n, w in enumerate(words, start=1))}
+    texts.update({g: "olma" for g in (2, 3, 4)})
+    for grade, text in texts.items():
+        (tmp_path / f"class-{grade}.txt").write_text(text, encoding="utf-8")
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("".join(f"{g}\tclass-{g}.txt\n" for g in GRADES), encoding="utf-8")
+    return manifest
+
+
 class TestStoredIndex:
-    """`classify` and `matrix` store the corpus index beside the manifest,
-    and every later run whose corpus files still match it loads it
-    instead of counting them."""
+    """Every command stores the corpus index beside the manifest when it
+    finds none it can use, and every later run whose corpus files still
+    match it loads it instead of counting them."""
 
     @staticmethod
     def argv(manifest, command, fmt="table"):
@@ -612,10 +694,7 @@ class TestStoredIndex:
     def test_second_run_loads_the_index(self, capsys, monkeypatch, mixed_manifest, command, fmt):
         golden = (GOLDEN / f"{command}.{fmt}").read_text(encoding="utf-8")
         assert run(capsys, *self.argv(mixed_manifest, command, fmt)) == (0, golden, "")
-        # a stats run that misses counts the statistics alone and stores nothing
-        assert index_file(mixed_manifest).exists() == (command != "stats")
-        if command == "stats":
-            assert run(capsys, *self.argv(mixed_manifest, "matrix"))[0] == 0
+        assert index_file(mixed_manifest).exists()
         self.uncounted(monkeypatch)
         assert run(capsys, *self.argv(mixed_manifest, command, fmt)) == (0, golden, "")
 
@@ -629,8 +708,18 @@ class TestStoredIndex:
         assert load_index(load_manifest(mixed_manifest)) is None
         golden = (GOLDEN / f"{command}.table").read_text(encoding="utf-8")
         assert run(capsys, *self.argv(mixed_manifest, command)) == (0, golden, "")
-        # stats stores nothing; the other commands store the index again
-        assert (path.read_bytes() == good) == (command != "stats")
+        assert path.read_bytes() == good
+
+    @pytest.mark.parametrize("damage", BAD_INDEXES)
+    def test_bad_index_with_a_line_feed_row_number_is_refused(self, many_rows_manifest, damage):
+        manifest = load_manifest(many_rows_manifest)
+        build_and_store(manifest)
+        path = index_file(many_rows_manifest)
+        good = path.read_bytes()
+        _, rows, numbers, width, _ = sections(good)
+        assert (len(rows), width) == (13, 1) and b"\n"[0] in numbers
+        path.write_bytes(damaged(good, damage))
+        assert load_index(manifest) is None
 
     @pytest.mark.parametrize(
         "edit",
@@ -721,7 +810,7 @@ class TestStoredIndex:
             assert (code, out) == (1, "")
             assert err == f"error: {mixed_manifest}:3: {reason}: '{lost}'\n"
 
-    @pytest.mark.parametrize("fixture", ["mini_manifest", "mixed_manifest"])
+    @pytest.mark.parametrize("fixture", ["mini_manifest", "mixed_manifest", "many_rows_manifest"])
     def test_loaded_corpus_equals_the_built_one(self, request, fixture):
         manifest = load_manifest(request.getfixturevalue(fixture))
         built = build_and_store(manifest)
@@ -730,18 +819,16 @@ class TestStoredIndex:
         assert loaded.squares4 == built.squares4
         assert loaded.stats == built.stats
         assert built == build_corpus(manifest)
+        # the rows go from the largest k down, so most row numbers are small
+        ks = [int(row.split()[-1]) for row in sections(index_file(manifest.path).read_bytes())[1]]
+        assert ks == sorted(ks, reverse=True)
 
-    def test_a_hit_imports_neither_json_nor_hashlib(self, capsys, mixed_manifest):
-        assert run(capsys, *self.argv(mixed_manifest, "matrix"))[0] == 0
+    @staticmethod
+    def python(script):
+        """The last line `script` prints in a fresh interpreter that imports
+        this package, and nothing on stderr."""
         src = Path(textgrade.__file__).resolve().parents[1]
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        script = (
-            "import sys, textgrade.corpus\n"
-            "textgrade.corpus.count_corpus = None\n"
-            "from textgrade.cli import main\n"
-            f"code = main({self.argv(mixed_manifest, 'classify')!r})\n"
-            "print(code, sorted({'json', 'hashlib'} & sys.modules.keys()))\n"
-        )
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
@@ -750,7 +837,33 @@ class TestStoredIndex:
             timeout=60,
         )
         assert proc.stderr == ""
-        assert proc.stdout.splitlines()[-1] == "0 []"
+        return proc.stdout.splitlines()[-1]
+
+    def test_a_hit_imports_neither_json_nor_hashlib(self, capsys, mixed_manifest):
+        assert run(capsys, *self.argv(mixed_manifest, "matrix"))[0] == 0
+        script = (
+            "import sys, textgrade.corpus\n"
+            "textgrade.corpus.count_corpus = None\n"
+            "from textgrade.cli import main\n"
+            f"code = main({self.argv(mixed_manifest, 'classify')!r})\n"
+            "print(code, sorted({'json', 'hashlib'} & sys.modules.keys()))\n"
+        )
+        assert self.python(script) == "0 []"
+
+    def test_the_index_is_neither_marshalled_nor_pickled(self, mixed_manifest):
+        # the import system holds marshal already, so both are made
+        # unimportable: a miss stores the index and a hit loads it without
+        script = (
+            "import sys\n"
+            "sys.modules.update(marshal=None, pickle=None)\n"
+            "from textgrade.cli import main\n"
+            "from textgrade.corpus import load_manifest\n"
+            "from textgrade.index import load_index\n"
+            f"argv = {self.argv(mixed_manifest, 'classify')!r}\n"
+            "codes = [main(argv), main(argv)]\n"
+            "print(codes, load_index(load_manifest(argv[2])) is not None)\n"
+        )
+        assert self.python(script) == "[0, 0] True"
 
 
 # Pieces of corpus and query text: Latin, Cyrillic, oʻ and gʻ spelled
@@ -940,3 +1053,45 @@ class TestContract:
         else:
             # a tie in exact arithmetic may round either way in the oracle
             assert expected["scores"][chosen] >= max(expected["scores"].values()) - 1e-9
+
+
+def cyrillic_word(n):
+    """A distinct two-byte-per-letter Cyrillic word for each n >= 0."""
+    return "сўз" + "".join("абвгдежзий"[int(digit)] for digit in str(n))
+
+
+@st.composite
+def stored_corpora(draw):
+    """Grade texts of FRAGMENTS, each with a word. One grade has enough
+    distinct Cyrillic words that the term lines pass one or two 16 KiB
+    block edges, at an offset that their number moves. Now and then
+    grades 1 and 2 share a grid of words, a times in one and b in the
+    other, so that 289 distinct rows take two bytes to number."""
+    fragments = st.lists(st.sampled_from(FRAGMENTS), max_size=4)
+    texts = {g: " ".join([*draw(fragments), "olma"]) for g in GRADES}
+    words = map(cyrillic_word, range(draw(st.integers(0, 2400))))
+    texts[draw(st.sampled_from(GRADES))] += " " + " ".join(words)
+    side = draw(st.sampled_from([0, 17]))
+    for a, b in product(range(1, side + 1), repeat=2):
+        word = cyrillic_word(10_000 + 100 * a + b)
+        texts[1] += f" {word}" * a
+        texts[2] += f" {word}" * b
+    return texts
+
+
+class TestIndexRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(texts=stored_corpora())
+    def test_the_stored_index_loads_as_built(self, texts):
+        with tempfile.TemporaryDirectory() as folder:
+            folder = Path(folder)
+            for grade, text in texts.items():
+                (folder / f"class-{grade}.txt").write_text(text, encoding="utf-8", newline="")
+            path = folder / "manifest.tsv"
+            path.write_text("".join(f"{g}\tclass-{g}.txt\n" for g in GRADES), encoding="utf-8")
+            manifest = load_manifest(path)
+            built = build_and_store(manifest)
+            loaded = load_index(manifest)
+        assert list(loaded.terms.items()) == list(built.terms.items())
+        assert loaded.squares4 == built.squares4
+        assert loaded.stats == built.stats
