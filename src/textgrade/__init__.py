@@ -1,7 +1,8 @@
 """Match Uzbek texts to school grades 1-4 by TF-IDF cosine similarity."""
 
 from .classifier import classify, containment_class
-from .corpus import GRADES, ClassDocument, GradedCorpus, Vocabulary, build_corpus, load_manifest
+from .corpus import GRADES, ClassDocument, GradedCorpus, Vocabulary, load_manifest
+from .index import build_corpus
 from .scoring import (
     DocumentCollection,
     WeightedVector,

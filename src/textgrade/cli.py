@@ -11,8 +11,8 @@ from pathlib import Path
 
 from .classifier import ClassificationResult, classify
 from .corpus import GRADES, CorpusStats, load_manifest, read_blocks
-from .errors import TextGradeError
-from .index import open_corpus
+from .errors import EmptyClassError, TextGradeError
+from .index import build_corpus
 from .record import Record
 from .scoring import ClassSimilarityMatrix, class_similarity_matrix
 
@@ -134,7 +134,12 @@ def render_classification(result: ClassificationResult, output: OutputSpec) -> s
 
 
 def _report(args: argparse.Namespace, output: OutputSpec) -> str:
-    corpus = open_corpus(load_manifest(args.manifest))
+    manifest = load_manifest(args.manifest)
+    try:
+        corpus = build_corpus(manifest)
+    except EmptyClassError as exc:
+        files = ", ".join(str(path) for g, path in manifest.entries if g == exc.args[0])
+        raise TextGradeError(f"{exc} in {files}") from None
     if args.command == "stats":
         return render_stats(corpus.stats, output)
     if args.command == "matrix":

@@ -329,12 +329,3 @@ def _fold(tables: Iterable[tuple[int, dict[str, int]]]) -> GradedCorpus:
     table.update(zip(table, map(rows.__getitem__, zip_longest(*columns, fillvalue=0))))
     return GradedCorpus(stats, table, dict(zip(GRADES, map(tuple, sums))))
 
-
-def build_corpus(
-    manifest: CorpusManifest, digests: dict[int, tuple[int, int]] | None = None
-) -> GradedCorpus:
-    """Count the terms of every manifest file into the per-grade
-    documents (`count_corpus`, which fills `digests` if given) and index
-    them one grade at a time; a grade whose files hold no tokens raises
-    EmptyClassError, once every grade has been read."""
-    return _fold(count_corpus(manifest, digests))

@@ -1,6 +1,7 @@
-"""The corpus index stored beside its manifest, so that a later process
-loads it instead of counting the corpus again, and `open_corpus`, which
-gives every command its corpus either way.
+"""The corpus index of a manifest, `build_corpus`: loaded from the index
+stored beside the manifest when that matches the corpus files, else
+counted from them and stored there, so that a later process, or a later
+call in this one, loads it instead of counting the corpus again.
 
 `<manifest>.textgrade-index`, format 2, is five sections one after the
 other:
@@ -25,10 +26,13 @@ data: a reader checks every number and term it reads.
 The key names everything the counts depend on: the format, the Unicode
 data and the Python version the tokenizer runs under, the CRC-32 of the
 source of `tokenizer.py` and `corpus.py`, and the grade, byte length
-and CRC-32 of each manifest entry's file, in manifest order. A file
-whose key is not the corpus's own, or that fails any check, is not used,
-and is written again after the corpus is built. Deleting it is always
-safe.
+and CRC-32 of each manifest entry's file, in manifest order. A key that
+differs in anything but the CRC-32s of the files, their byte lengths
+taken from `os.stat`, is refused before any corpus file is read; one
+that matches that far is compared whole, its CRC-32s taken from the
+files' bytes. A file whose key is not the corpus's own, or that fails
+any check, is not used, and is written again after the corpus is
+counted. Deleting it is always safe.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from itertools import accumulate, compress, islice, repeat
 from operator import add, mul
 from pathlib import Path
 
-from .corpus import _BLOCK, GRADES, CorpusManifest, CorpusStats, GradedCorpus, build_corpus
-from .errors import EmptyClassError, TextGradeError
+from .corpus import _BLOCK, GRADES, CorpusManifest, CorpusStats, GradedCorpus, _fold, count_corpus
+from .errors import EmptyClassError
 
 SUFFIX = ".textgrade-index"
 _FORMAT = "textgrade-index 2"
@@ -62,21 +66,18 @@ _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _TERMS_PER_WRITE = 256
 
 
-def open_corpus(manifest: CorpusManifest) -> GradedCorpus:
-    """The corpus index, loaded from the index stored beside the manifest
-    if it matches the corpus files, else built from them and stored for
-    the next run.
+def build_corpus(manifest: CorpusManifest) -> GradedCorpus:
+    """The corpus index of `manifest`: the index stored beside it if that
+    matches the corpus files as they are now (`load_index`), else the
+    index counted from them (`count_corpus`), which is then stored for the
+    next call (`build_and_store`); a failed write is ignored.
 
-    A grade without tokens raises TextGradeError naming the grade's files.
+    A corpus file that cannot be opened, read or decoded raises
+    CorpusFileError, and a grade whose files hold no tokens raises
+    EmptyClassError(grade), once every grade has been read.
     """
     corpus = load_index(manifest)
-    if corpus is not None:
-        return corpus
-    try:
-        return build_and_store(manifest)
-    except EmptyClassError as exc:
-        files = ", ".join(str(path) for g, path in manifest.entries if g == exc.args[0])
-        raise TextGradeError(f"{exc} in {files}") from None
+    return build_and_store(manifest) if corpus is None else corpus
 
 
 def index_path(manifest: CorpusManifest) -> str:
@@ -97,6 +98,12 @@ def _key(entries: Iterable[tuple[int, int, int]]) -> bytes:
     ).encode("utf-8")
 
 
+def _without_crcs(key: bytes) -> tuple[bytes, list[bytes]]:
+    """A key line up to its files, and each file's `grade:size` field."""
+    head, _, files = key.partition(b" files ")
+    return head, [field.rpartition(b":")[0] for field in files.split()]
+
+
 def _digest(path: Path) -> tuple[int, int]:
     """The byte length and CRC-32 of the file at `path` as it is now."""
     size = crc = 0
@@ -113,8 +120,14 @@ def load_index(manifest: CorpusManifest) -> GradedCorpus | None:
     now, it fails a check (`_parse`), or any of them cannot be read."""
     try:
         with open(index_path(manifest), "rb") as fh:
-            key = _key((grade, *_digest(path)) for grade, path in manifest.entries)
-            if fh.readline() != key:
+            stored = fh.readline()
+            # refused on the sizes `os.stat` gives before a corpus file is
+            # read for its CRC-32; equal sizes never accept a file, since
+            # a FIFO or a /proc entry states a size its bytes need not have
+            sized = _key((grade, os.stat(path).st_size, 0) for grade, path in manifest.entries)
+            if _without_crcs(stored) != _without_crcs(sized):
+                return None
+            if stored != _key((grade, *_digest(path)) for grade, path in manifest.entries):
                 return None
             return _parse(fh)
     except (OSError, ValueError, LookupError, struct.error, EmptyClassError):
@@ -219,12 +232,13 @@ def _sums(
 
 
 def build_and_store(manifest: CorpusManifest) -> GradedCorpus:
-    """`build_corpus(manifest)`, stored beside `manifest` under the key of
-    the very bytes it counted. The file is written whole under a new name
-    and then renamed over the old one, so a reader never sees it in part;
-    any OSError while writing leaves no new file and is ignored."""
+    """The corpus index counted from the files `manifest` lists, stored
+    beside `manifest` under the key of the very bytes it counted. The
+    file is written whole under a new name and then renamed over the old
+    one, so a reader never sees it in part; any OSError while writing
+    leaves no new file and is ignored."""
     digests: dict[int, tuple[int, int]] = {}
-    corpus = build_corpus(manifest, digests)
+    corpus = _fold(count_corpus(manifest, digests))
     path = index_path(manifest)
     temporary = f"{path}.{os.getpid()}.tmp"
     try:

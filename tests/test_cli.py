@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 import tempfile
+import unicodedata
 import zlib
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from itertools import product
@@ -16,9 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import textgrade
-from textgrade import GRADES, tokenize
+from textgrade import GRADES, GradedCorpus, build_corpus, tokenize
 from textgrade.cli import MAX_PRECISION, OutputSpec, format_score, main
-from textgrade.corpus import build_corpus, load_manifest
+from textgrade.corpus import _fold, count_corpus, load_manifest
+from textgrade.errors import EmptyClassError
 from textgrade.index import SUFFIX, build_and_store, load_index
 from textgrade.tokenizer import TokenSequence
 
@@ -297,7 +300,7 @@ class TestReportBytes:
         def forbidden(*args, **kwargs):
             raise AssertionError("corpus counted despite a stored index")
 
-        monkeypatch.setattr(textgrade.corpus, "count_corpus", forbidden)
+        monkeypatch.setattr(textgrade.index, "count_corpus", forbidden)
         self.assert_pinned(capsys, mixed_manifest, "matrix", fmt)
 
 
@@ -687,7 +690,7 @@ class TestStoredIndex:
         def forbidden(*args, **kwargs):
             raise AssertionError("corpus counted despite a stored index")
 
-        monkeypatch.setattr(textgrade.corpus, "count_corpus", forbidden)
+        monkeypatch.setattr(textgrade.index, "count_corpus", forbidden)
 
     @pytest.mark.parametrize("fmt", ["table", "tsv", "json"])
     @pytest.mark.parametrize("command", ["stats", "classify", "matrix"])
@@ -818,7 +821,7 @@ class TestStoredIndex:
         assert list(loaded.terms.items()) == list(built.terms.items())
         assert loaded.squares4 == built.squares4
         assert loaded.stats == built.stats
-        assert built == build_corpus(manifest)
+        assert built == _fold(count_corpus(manifest))
         # the rows go from the largest k down, so most row numbers are small
         ks = [int(row.split()[-1]) for row in sections(index_file(manifest.path).read_bytes())[1]]
         assert ks == sorted(ks, reverse=True)
@@ -842,8 +845,8 @@ class TestStoredIndex:
     def test_a_hit_imports_neither_json_nor_hashlib(self, capsys, mixed_manifest):
         assert run(capsys, *self.argv(mixed_manifest, "matrix"))[0] == 0
         script = (
-            "import sys, textgrade.corpus\n"
-            "textgrade.corpus.count_corpus = None\n"
+            "import sys, textgrade.index\n"
+            "textgrade.index.count_corpus = None\n"
             "from textgrade.cli import main\n"
             f"code = main({self.argv(mixed_manifest, 'classify')!r})\n"
             "print(code, sorted({'json', 'hashlib'} & sys.modules.keys()))\n"
@@ -864,6 +867,114 @@ class TestStoredIndex:
             "print(codes, load_index(load_manifest(argv[2])) is not None)\n"
         )
         assert self.python(script) == "[0, 0] True"
+
+
+class TestLibraryIndex:
+    """`build_corpus` opens the corpus as every command does: it loads the
+    stored index when that matches the corpus files, and otherwise counts
+    them and stores the index."""
+
+    @staticmethod
+    def tokens_built():
+        """The index of MIXED_TEXTS built from tokens held in memory."""
+        return GradedCorpus.from_token_sequences({g: tokenize(MIXED_TEXTS[g]) for g in GRADES})
+
+    def test_a_second_build_loads_the_first_ones_index(self, monkeypatch, mixed_manifest):
+        manifest = load_manifest(mixed_manifest)
+        built = build_corpus(manifest)
+        assert index_file(mixed_manifest).exists()
+        assert built == self.tokens_built()
+        TestStoredIndex.uncounted(monkeypatch)
+        loaded = build_corpus(manifest)
+        assert list(loaded.terms.items()) == list(built.terms.items())
+        assert loaded.stats == built.stats
+        assert loaded.squares4 == built.squares4
+
+    @pytest.mark.parametrize("damage", BAD_INDEXES)
+    def test_bad_index_is_counted_again_and_rewritten(self, mixed_manifest, damage):
+        manifest = load_manifest(mixed_manifest)
+        build_corpus(manifest)
+        path = index_file(mixed_manifest)
+        good = path.read_bytes()
+        path.write_bytes(damaged(good, damage))
+        assert build_corpus(manifest) == self.tokens_built()
+        assert path.read_bytes() == good
+
+    @pytest.mark.parametrize("call", ["open", "replace"])
+    def test_unwritable_directory(self, monkeypatch, mixed_manifest, call):
+        # file modes do not stop root, so the denial is simulated
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        manifest = load_manifest(mixed_manifest)
+        monkeypatch.setattr(os, call, denied)
+        corpus = build_corpus(manifest)
+        monkeypatch.undo()
+        assert corpus == self.tokens_built()
+        # no index, and no half-written file left behind
+        assert sorted(p.name for p in mixed_manifest.parent.iterdir()) == [
+            *(f"class-{g}.txt" for g in GRADES),
+            "manifest.tsv",
+            "query.txt",
+        ]
+
+    def test_grade_without_tokens(self, capsys, mixed_manifest):
+        # the library raises EmptyClassError(grade) alone; the CLI names
+        # the grade's files
+        empty = mixed_manifest.parent / "class-2.txt"
+        empty.write_text("123 !!!", encoding="utf-8")
+        with pytest.raises(EmptyClassError) as excinfo:
+            build_corpus(load_manifest(mixed_manifest))
+        assert excinfo.value.args == (2,)
+        assert str(excinfo.value) == "grade 2 has no tokens"
+        code, out, err = run(capsys, "stats", "--manifest", str(mixed_manifest))
+        assert (code, out) == (1, "")
+        assert err == f"error: grade 2 has no tokens in {empty}\n"
+        assert not index_file(mixed_manifest).exists()
+
+    @pytest.mark.parametrize(
+        "stale", ["format", "unicode", "python", "source", "corpus appended", "manifest appended"]
+    )
+    def test_stale_index_is_refused_before_a_corpus_file_is_read(
+        self, monkeypatch, mixed_manifest, stale
+    ):
+        # a key that differs in anything but the files' CRC-32s is refused
+        # on what os.stat gives, so the miss reads each file once, to count it
+        build_corpus(load_manifest(mixed_manifest))
+        path = index_file(mixed_manifest)
+        key, body = path.read_bytes().split(b"\n", 1)
+        source = key.split(b" source ")[1][:8]
+        changed = {
+            "format": (b"textgrade-index 2 ", b"textgrade-index 3 "),
+            "unicode": (b" unicode %s " % unicodedata.unidata_version.encode(), b" unicode 1.1.0 "),
+            "python": (b" python %d.%d " % sys.version_info[:2], b" python 2.7 "),
+            "source": (source, b"%08x" % (int(source, 16) ^ 1)),
+        }
+        if stale in changed:
+            old, new = changed[stale]
+            assert key.count(old) == 1
+            path.write_bytes(key.replace(old, new) + b"\n" + body)
+        elif stale == "corpus appended":
+            with (mixed_manifest.parent / "class-3.txt").open("a", encoding="utf-8") as fh:
+                fh.write(" yangi soʻz")
+        else:
+            with mixed_manifest.open("a", encoding="utf-8") as fh:
+                fh.write("4\tclass-1.txt\n")
+        manifest = load_manifest(mixed_manifest)
+        opened = Counter()
+        real_open = open
+
+        def counted(file, *args, **kwargs):
+            opened[str(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counted)
+        corpus = build_corpus(manifest)
+        monkeypatch.undo()
+        entries = Counter(str(entry) for _, entry in manifest.entries)
+        assert {name: opened[name] for name in entries} == entries
+        assert corpus == _fold(count_corpus(manifest))
+        assert load_index(manifest) == corpus
 
 
 # Pieces of corpus and query text: Latin, Cyrillic, oʻ and gʻ spelled
