@@ -16,8 +16,8 @@ import zlib
 from collections import Counter, _count_elements
 from collections.abc import Generator, Iterable, Iterator, Mapping
 from functools import cached_property
-from itertools import chain, repeat, zip_longest
-from operator import countOf
+from itertools import accumulate, chain, compress, pairwise, repeat, zip_longest
+from operator import itemgetter, mul
 from pathlib import Path
 
 from .errors import (
@@ -98,16 +98,17 @@ class GradedCorpus(Record):
     It holds what scoring needs from the corpus and nothing else: `terms`
     maps each corpus term to its row `(df4, c1, c2, c3, c4)`, where df4
     is the number of grades holding the term and `row[g]` its count in
-    grade g, 0 where g lacks it; terms with equal rows share one tuple.
-    Terms are keyed grade by grade where their token first occurs; no
-    score reads the order. `squares4` holds, per grade, the sums of its
-    terms' squared counts indexed by df4, and `stats` each grade's token
-    total and distinct-term count. No token order is kept: TF-IDF reads
-    none. All of it is integers, so it holds no IDF; scoring weighs it
-    under N = 4 or 5.
+    grade g, 0 where g lacks it. Terms are keyed grade by grade where
+    their token first occurs; no score reads the order. `rows` maps each
+    distinct row, the one tuple its terms share, to k, their number.
+    `squares4` holds, per grade, the sums of its terms' squared counts
+    indexed by df4, and `stats` each grade's token total and
+    distinct-term count, all summed over `rows`. No token order is kept:
+    TF-IDF reads none. All of it is integers, so it holds no IDF; scoring
+    weighs it under N = 4 or 5.
     """
 
-    __slots__ = ("stats", "terms", "squares4", "__dict__")
+    __slots__ = ("stats", "terms", "squares4", "rows", "__dict__")
 
     @classmethod
     def from_token_sequences(cls, sequences: Mapping[int, TokenSequence]) -> "GradedCorpus":
@@ -301,31 +302,54 @@ def _fold(tables: Iterable[tuple[int, dict[str, int]]]) -> GradedCorpus:
     where it lacks the term. Grades 1-3 keep their column as a list; the
     last grade's column is the table's own values. An earlier column
     lacks exactly the terms keyed later, so the columns padded with 0
-    give each term its four counts. Each distinct row is built once,
-    weighed into `squares4` once, times the number of terms holding it,
+    give each term its four counts. Each distinct row is built once, in
+    the order its first term is keyed, counted into `rows` with its k,
     and written in place over the last grade's count of every term
     holding it, so those terms share one tuple.
     """
     columns: list[Iterable[int]] = []
-    totals, unique = {}, {}
     for grade, table in tables:
-        column = table.values() if grade == GRADES[-1] else list(table.values())
-        columns.append(column)
-        totals[grade], unique[grade] = sum(column), len(table) - countOf(column, 0)
-    # built once every grade is read, so that a later grade's unreadable
-    # file is reported before an earlier grade's lack of tokens
-    stats = CorpusStats(totals, unique, len(table))
-    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-    sums = [[0] * (len(GRADES) + 1) for _ in GRADES]
-    for counts4, k in Counter(zip_longest(*columns, fillvalue=0)).items():
-        df4 = len(counts4) - counts4.count(0)
-        rows[counts4] = (df4, *counts4)
-        for grade_sums, n in zip(sums, counts4):
-            grade_sums[df4] += k * n * n
+        columns.append(table.values() if grade == GRADES[-1] else list(table.values()))
+    # the rows are summed once every grade is read, so that a later grade's
+    # unreadable file is reported before an earlier grade's lack of tokens
+    counted = Counter(zip_longest(*columns, fillvalue=0))
+    row_of = {counts4: (len(counts4) - counts4.count(0), *counts4) for counts4 in counted}
     # zip draws each key, then the row read off the key's own last-grade
     # count, before the update writes that row over the count: every value
     # is read before it is written, and no key is added or removed, so the
     # dict never changes size under the iterators reading it
-    table.update(zip(table, map(rows.__getitem__, zip_longest(*columns, fillvalue=0))))
-    return GradedCorpus(stats, table, dict(zip(GRADES, map(tuple, sums))))
+    table.update(zip(table, map(row_of.__getitem__, zip_longest(*columns, fillvalue=0))))
+    return _indexed(table, dict(zip(row_of.values(), counted.values())))
 
+
+def _indexed(terms: dict[str, tuple[int, ...]], rows: dict[tuple[int, ...], int]) -> GradedCorpus:
+    """The corpus of `terms` and its distinct `rows`, each with its k; every
+    constructor ends here. Its statistics and `squares4` are sums over the
+    rows. Raises EmptyClassError(grade) for the lowest empty grade."""
+    totals = {g: sum(map(mul, rows.values(), map(itemgetter(g), rows))) for g in GRADES}
+    own = _pair_sums(rows, [(g, g) for g in GRADES])
+    stats = CorpusStats(totals, {g: own[g, g][1] for g in GRADES}, len(terms))
+    return GradedCorpus(stats, terms, {g: own[g, g][0] for g in GRADES}, rows)
+
+
+def _pair_sums(
+    rows: dict[tuple[int, ...], int], pairs: Iterable[tuple[int, int]]
+) -> dict[tuple[int, int], tuple[tuple[int, ...], int]]:
+    """For each pair of grades (g, h): the sums, indexed by df4, of
+    k * row[g] * row[h] over the distinct rows of a corpus, each held by
+    k terms, and the sum of k over the rows holding both grades. For
+    (g, g) they are grade g's `squares4` and distinct-term count; for
+    g < h, the class matrix's dot product and shared count."""
+    # sorted by df4, the rows of each df4 are one run of the columns
+    ordered = sorted(rows, key=itemgetter(0))
+    ks = list(map(rows.__getitem__, ordered))
+    # df4, then c1-c4; zip(*ordered) would make a GC-tracked iterator per row
+    columns = [list(map(itemgetter(i), ordered)) for i in range(len(GRADES) + 1)]
+    runs = list(pairwise(accumulate(map(columns[0].count, range(len(GRADES) + 1)), initial=0)))
+    sums = {}
+    for g, h in pairs:
+        # counts are never negative, so a product is nonzero where both are
+        both = list(map(mul, columns[g], columns[h]))
+        products = list(map(mul, ks, both))
+        sums[g, h] = tuple(sum(products[start:end]) for start, end in runs), sum(compress(ks, both))
+    return sums

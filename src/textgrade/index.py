@@ -17,11 +17,12 @@ Every line ends at LF. The header line gives the byte length of the row
 lines, the number of terms, and the width in bytes of a row number: 1,
 2, 4 or 8, the least that holds the largest one. `k` is the number of
 terms with that row, and the row lines go from the largest k down, so
-that most row numbers are small. A row number counts the row lines from
-0; the row numbers are one packed block of unsigned little-endian
-integers, not text, so they may hold the byte 0x0A and the file is never
-split into lines across them. The file holds no pickled or marshalled
-data: a reader checks every number and term it reads.
+that most row numbers are small; no two row lines are the same row. A
+row number counts the row lines from 0; the row numbers are one packed
+block of unsigned little-endian integers, not text, so they may hold the
+byte 0x0A and the file is never split into lines across them. The file
+holds no pickled or marshalled data: a reader checks every number and
+term it reads.
 
 The key names everything the counts depend on: the format, the Unicode
 data and the Python version the tokenizer runs under, the CRC-32 of the
@@ -46,11 +47,11 @@ import zlib
 from collections import _count_elements
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
-from itertools import accumulate, compress, islice, repeat
-from operator import add, mul
+from itertools import islice, repeat
+from operator import add
 from pathlib import Path
 
-from .corpus import _BLOCK, GRADES, CorpusManifest, CorpusStats, GradedCorpus, _fold, count_corpus
+from .corpus import _BLOCK, GRADES, CorpusManifest, GradedCorpus, _fold, _indexed, count_corpus
 from .errors import EmptyClassError
 
 SUFFIX = ".textgrade-index"
@@ -139,14 +140,14 @@ def _parse(fh: io.BufferedReader) -> GradedCorpus:
 
     Raises ValueError unless the header is three numbers whose sections
     fit in the file, each row is six runs of ASCII digits with df4 from
-    1 to 4 equal to the number of nonzero counts, the term lines are as
+    1 to 4 equal to the number of nonzero counts, no two rows are equal,
+    so that terms with equal rows share one tuple, the term lines are as
     many distinct nonempty terms as there are row numbers, each row is
     named by exactly k of them, so k is at least 1 and the term count is
-    the sum of k, and the CRC matches. Raises KeyError for a width that
-    is not 1, 2, 4 or 8, IndexError for a row number past the rows,
-    struct.error for a term line past the row numbers, and
-    EmptyClassError if a grade has no terms.
-    """
+    the sum of k, and the CRC matches. Raises KeyError for a width not 1,
+    2, 4 or 8, IndexError for a row number past the rows, struct.error
+    for a term line past the row numbers, and EmptyClassError if a grade
+    has no terms."""
     head = fh.readline()
     row_bytes, count, width = map(int, head.split())
     code = _CODES[width]
@@ -161,6 +162,9 @@ def _parse(fh: io.BufferedReader) -> GradedCorpus:
     zeros = map(tuple.count, rows, repeat(0))
     if min(df4s) < 1 or list(map(add, df4s, zeros)) != [len(GRADES)] * len(rows):
         raise ValueError("index row has a wrong df4")
+    ks_by_row = dict(zip(rows, ks))
+    if len(ks_by_row) != len(rows):
+        raise ValueError("index row duplicated")
     packed = fh.read(count * width)
     crc = zlib.crc32(packed, zlib.crc32(section, zlib.crc32(head)))
     terms: dict[str, tuple[int, ...]] = {}
@@ -192,8 +196,7 @@ def _parse(fh: io.BufferedReader) -> GradedCorpus:
     # named exactly k times each: no k is 0, and the k sum to the term count
     if named != dict(enumerate(ks)):
         raise ValueError("index rows are not named k times each")
-    stats, squares4 = _sums(df4s, counts, ks)
-    return GradedCorpus(stats, terms, squares4)
+    return _indexed(terms, ks_by_row)
 
 
 def _columns(section: bytes) -> list[list[int]]:
@@ -210,37 +213,18 @@ def _columns(section: bytes) -> list[list[int]]:
     return [values[i::6] for i in range(6)]
 
 
-def _sums(
-    df4s: list[int], counts: list[list[int]], ks: list[int]
-) -> tuple[CorpusStats, dict[int, tuple[int, ...]]]:
-    """The statistics and `squares4` of the rows with columns df4, c1-c4
-    and k, each row weighed by its k; raises EmptyClassError if a grade
-    has no terms."""
-    # sorted by df4, the rows of each df4 are one run of the columns
-    order = sorted(range(len(df4s)), key=df4s.__getitem__)
-    ends = list(accumulate(map(df4s.count, range(1, len(GRADES) + 1))))
-    runs = list(zip([0, *ends], ends))
-    ks = list(map(ks.__getitem__, order))
-    totals, unique, squares4 = {}, {}, {}
-    for grade, column in zip(GRADES, counts):
-        column = list(map(column.__getitem__, order))
-        weighted = list(map(mul, ks, column))
-        squares = list(map(mul, weighted, column))
-        totals[grade], unique[grade] = sum(weighted), sum(compress(ks, column))
-        squares4[grade] = (0, *(sum(squares[start:end]) for start, end in runs))
-    return CorpusStats(totals, unique, sum(ks)), squares4
-
-
 def build_and_store(manifest: CorpusManifest) -> GradedCorpus:
     """The corpus index counted from the files `manifest` lists, stored
     beside `manifest` under the key of the very bytes it counted. The
     file is written whole under a new name and then renamed over the old
     one, so a reader never sees it in part; any OSError while writing
-    leaves no new file and is ignored."""
+    leaves no new file and is ignored. The new name is random, so no file
+    a killed writer left can block it; none is removed, as it may be a
+    live writer's."""
     digests: dict[int, tuple[int, int]] = {}
     corpus = _fold(count_corpus(manifest, digests))
     path = index_path(manifest)
-    temporary = f"{path}.{os.getpid()}.tmp"
+    temporary = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         key = _key((grade, *digests[i]) for i, (grade, _) in enumerate(manifest.entries))
         fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
@@ -265,15 +249,13 @@ def build_and_store(manifest: CorpusManifest) -> GradedCorpus:
 
 def _body(corpus: GradedCorpus) -> Iterator[bytes]:
     """The index file's sections after its key, without the CRC, in chunks."""
-    numbers: dict[tuple[int, ...], int] = {}
-    _count_elements(numbers, corpus.terms.values())
+    ks = corpus.rows
     # sorted by k, largest first; a stable sort keeps ties in first-seen order
-    ranked = sorted(numbers, key=numbers.__getitem__, reverse=True)
-    rows = "".join(f"{' '.join(map(str, row))} {numbers[row]}\n" for row in ranked).encode()
+    ranked = sorted(ks, key=ks.__getitem__, reverse=True)
+    rows = "".join(f"{' '.join(map(str, row))} {ks[row]}\n" for row in ranked).encode()
     width = min(w for w in _CODES if len(ranked) <= 1 << 8 * w)
     yield b"%d %d %d\n" % (len(rows), len(corpus.terms), width) + rows
-    # each row's count of terms, once written, is replaced by its number
-    numbers.update(zip(ranked, range(len(ranked))))
+    numbers = dict(zip(ranked, range(len(ranked))))
     values = iter(corpus.terms.values())
     while chunk := list(map(numbers.__getitem__, islice(values, _TERMS_PER_WRITE))):
         yield struct.pack(f"<{len(chunk)}{_CODES[width]}", *chunk)

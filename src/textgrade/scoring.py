@@ -33,7 +33,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 
-from .corpus import GRADES, ClassDocument, GradedCorpus
+from .corpus import GRADES, ClassDocument, GradedCorpus, _pair_sums
 from .errors import VocabularyMismatchError, ZeroVectorError
 from .record import Record
 from .tokenizer import TokenSequence
@@ -239,23 +239,16 @@ def class_similarity_matrix(corpus: GradedCorpus) -> ClassSimilarityMatrix:
     the four class documents, with no query involved. Each off-diagonal
     pair is scored once and mirrored, so the matrix is exactly symmetric;
     a diagonal cell is 1 with the class's vocabulary size as its count.
-    Many terms share one row of `corpus.terms`, so a pair walks the
-    distinct rows, each with the number k of terms holding it, counted
-    on each call and never kept: a row both grades hold adds k times its
-    count product to its df4's bucket and k to the shared count.
+    Many terms share one row of `corpus.terms`, so the pairs are summed
+    over `corpus.rows`, the distinct rows each with the number k of terms
+    holding it: a row both grades hold adds k times its count product to
+    its df4's bucket and k to the shared count.
     """
-    rows = Counter(corpus.terms.values())
     totals, unique = corpus.stats.total_tokens, corpus.stats.unique_tokens
     norms = {g: _weigh(corpus.squares4[g], IDF4, totals[g] ** 2) for g in GRADES}
     cells = {(g, g): PairSimilarity(1.0, unique[g], unique[g]) for g in GRADES}
-    for i, j in itertools.combinations(GRADES, 2):
-        products = [0] * len(IDF4)
-        shared = 0
-        for row, k in rows.items():
-            a, b = row[i], row[j]
-            if a and b:
-                products[row[0]] += k * a * b
-                shared += k
+    pairs = _pair_sums(corpus.rows, itertools.combinations(GRADES, 2))
+    for (i, j), (products, shared) in pairs.items():
         score = _cosine(products, IDF4, totals[j] * totals[i], norms[j], norms[i])
         cells[i, j] = cells[j, i] = PairSimilarity(score, shared, unique[i] + unique[j] - shared)
     return ClassSimilarityMatrix(tuple(tuple(cells[i, j] for j in GRADES) for i in GRADES))

@@ -608,6 +608,10 @@ def damaged(data, damage):
         at = next(i for i in range(1, 5) if fields[i] != b"0")
         fields[at] = b"-" + fields[at]
         rows[0] = b" ".join(fields)
+    elif damage == "row duplicated":
+        # the second row line takes the first one's counts and keeps its
+        # own k, so every other check still holds
+        rows[1] = rows[0].rpartition(b" ")[0] + b" " + rows[1].rpartition(b" ")[2]
     elif damage == "row of seven numbers":
         rows[-1] = rows[-1].rstrip(b"\n") + b" 1\n"
     elif damage == "term duplicated":
@@ -645,6 +649,7 @@ BAD_INDEXES = [
     "df4 zero",
     "counts all zero",
     "count negative",
+    "row duplicated",
     "row of seven numbers",
     "term duplicated",
     "term line empty",
@@ -821,6 +826,7 @@ class TestStoredIndex:
         assert list(loaded.terms.items()) == list(built.terms.items())
         assert loaded.squares4 == built.squares4
         assert loaded.stats == built.stats
+        assert loaded.rows == built.rows
         assert built == _fold(count_corpus(manifest))
         # the rows go from the largest k down, so most row numbers are small
         ks = [int(row.split()[-1]) for row in sections(index_file(manifest.path).read_bytes())[1]]
@@ -917,6 +923,17 @@ class TestLibraryIndex:
             "manifest.tsv",
             "query.txt",
         ]
+
+    def test_leftover_temporary_file_does_not_stop_the_store(self, mixed_manifest):
+        # a writer killed mid-store leaves its temporary file behind, and a
+        # later process may be given the same pid
+        manifest = load_manifest(mixed_manifest)
+        leftover = Path(f"{index_file(mixed_manifest)}.{os.getpid()}.tmp")
+        leftover.write_bytes(b"half an index")
+        assert build_corpus(manifest) == self.tokens_built()
+        assert load_index(manifest) == self.tokens_built()
+        # not removed: it may belong to a live writer
+        assert leftover.read_bytes() == b"half an index"
 
     def test_grade_without_tokens(self, capsys, mixed_manifest):
         # the library raises EmptyClassError(grade) alone; the CLI names

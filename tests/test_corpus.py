@@ -309,8 +309,11 @@ class TestIndex:
         for term, row in corpus.terms.items():
             grade_counts = tuple(counts[g][term] for g in GRADES)
             assert row == (sum(map(bool, grade_counts)), *grade_counts)
-        # equal rows are one tuple
+        # equal rows are one tuple, the key of `rows` that counts its terms
         assert len(set(map(id, corpus.terms.values()))) == len(set(corpus.terms.values()))
+        assert corpus.rows == Counter(corpus.terms.values())
+        keys = set(map(id, corpus.rows))
+        assert all(id(row) in keys for row in corpus.terms.values())
         for g in GRADES:
             expected = [0] * 5
             for term, n in counts[g].items():

@@ -33,7 +33,7 @@ FIELDS = {
     ClassDocument: ("grade", "tokens"),
     CorpusStats: ("total_tokens", "unique_tokens", "overall_unique"),
     CorpusManifest: ("entries", "path", "lines"),
-    GradedCorpus: ("stats", "terms", "squares4"),
+    GradedCorpus: ("stats", "terms", "squares4", "rows"),
     DocumentCollection: ("docs",),
     WeightedVector: ("vocab", "coords"),
     PairSimilarity: ("score", "shared_unique", "pair_vocab_size"),
