@@ -7,7 +7,6 @@ import errno
 import os
 import sys
 from decimal import ROUND_HALF_UP, Decimal, localcontext
-from pathlib import Path
 
 from .classifier import ClassificationResult, classify
 from .corpus import GRADES, CorpusStats, load_manifest, read_blocks
@@ -145,7 +144,7 @@ def _report(args: argparse.Namespace, output: OutputSpec) -> str:
     if args.command == "matrix":
         return render_matrix(class_similarity_matrix(corpus), output)
     try:
-        result = classify(read_blocks(Path(args.input)), corpus)
+        result = classify(read_blocks(args.input), corpus)
     except (OSError, UnicodeDecodeError) as exc:
         # the corpus is read by now, so the input is the file at fault
         raise TextGradeError(f"input: {exc}") from None

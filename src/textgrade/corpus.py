@@ -98,9 +98,12 @@ class GradedCorpus(Record):
     It holds what scoring needs from the corpus and nothing else: `terms`
     maps each corpus term to its row `(df4, c1, c2, c3, c4)`, where df4
     is the number of grades holding the term and `row[g]` its count in
-    grade g, 0 where g lacks it. Terms are keyed grade by grade where
-    their token first occurs; no score reads the order. `rows` maps each
-    distinct row, the one tuple its terms share, to k, their number.
+    grade g, 0 where g lacks it. A counted corpus keys its terms grade
+    by grade where their token first occurs; one loaded from a stored
+    index keys them row by row, in `rows` order, each row's terms in that
+    counted order. No score reads the order. `rows` maps each distinct
+    row, the one tuple its terms share, to k, their number, in the order
+    its first term was counted.
     `squares4` holds, per grade, the sums of its terms' squared counts
     indexed by df4, and `stats` each grade's token total and
     distinct-term count, all summed over `rows`. No token order is kept:
@@ -153,7 +156,7 @@ class _FileDecodeError(UnicodeDecodeError):
         return f"'{self.encoding}' codec can't decode {where}: {self.reason}"
 
 
-def read_blocks(path: Path) -> Generator[str, None, tuple[int, int]]:
+def read_blocks(path: str | Path) -> Generator[str, None, tuple[int, int]]:
     """The text of a UTF-8 file, decoded block by block; the generator
     returns the byte length and the CRC-32 of the bytes it decoded, so
     `size, crc = yield from read_blocks(path)` names what was read.
@@ -198,12 +201,13 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     other field of ASCII digits, such as 0, 5 or 01, and
     IncompleteCorpusError when some grade has no entry.
     """
+    # read as given: Path("") is ".", which would name a directory
+    text = "".join(read_blocks(path)).removeprefix("\ufeff")
     path = Path(path)
     base = path.parent
     entries: list[tuple[int, Path]] = []
     linenos: list[int] = []
     seen: set[tuple[int, Path]] = set()
-    text = "".join(read_blocks(path)).removeprefix("\ufeff")
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()

@@ -3,26 +3,23 @@ stored beside the manifest when that matches the corpus files, else
 counted from them and stored there, so that a later process, or a later
 call in this one, loads it instead of counting the corpus again.
 
-`<manifest>.textgrade-index`, format 2, is five sections one after the
-other:
+`<manifest>.textgrade-index`, format 3, is UTF-8 text, every line ending
+at LF, in five sections one after the other:
 
-    <key>                               one line of UTF-8 text
-    <row bytes> <term count> <width>    the sizes of the next two sections
+    <key>                               one line
+    <row bytes> <term count>            the sizes of the next two sections
     <df4> <c1> <c2> <c3> <c4> <k>       one line per distinct row of `terms`
-    <row numbers>                       one per term, in `terms` order
-    <term>                              one line per term, in `terms` order
+    <term>                              one line per term, grouped by row
     <CRC-32 of the sections after the key, 8 hex digits>
 
-Every line ends at LF. The header line gives the byte length of the row
-lines, the number of terms, and the width in bytes of a row number: 1,
-2, 4 or 8, the least that holds the largest one. `k` is the number of
-terms with that row, and the row lines go from the largest k down, so
-that most row numbers are small; no two row lines are the same row. A
-row number counts the row lines from 0; the row numbers are one packed
-block of unsigned little-endian integers, not text, so they may hold the
-byte 0x0A and the file is never split into lines across them. The file
-holds no pickled or marshalled data: a reader checks every number and
-term it reads.
+The header line gives the byte length of the row lines and the number of
+term lines. `k` is the number of terms with that row, so no k is 0, and
+the term lines are the first row line's k terms, then the next one's k
+terms, and so on: no line names a row. The row lines go in `rows` order
+and each row's terms in `terms` order, so a loaded corpus's `terms` go
+row by row. No two row lines are the same row. The file holds no
+pickled or marshalled data: a reader checks every number and term it
+reads.
 
 The key names everything the counts depend on: the format, the Unicode
 data and the Python version the tokenizer runs under, the CRC-32 of the
@@ -40,14 +37,12 @@ from __future__ import annotations
 
 import io
 import os
-import struct
 import sys
 import unicodedata
 import zlib
-from collections import _count_elements
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import add
 from pathlib import Path
 
@@ -55,15 +50,12 @@ from .corpus import _BLOCK, GRADES, CorpusManifest, GradedCorpus, _fold, _indexe
 from .errors import EmptyClassError
 
 SUFFIX = ".textgrade-index"
-_FORMAT = "textgrade-index 2"
+_FORMAT = "textgrade-index 3"
 _SOURCES = ("tokenizer.py", "corpus.py")
-# The struct code of an unsigned row number of each width in bytes; the
-# numbers are packed and unpacked little-endian ("<") on every host.
-_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-# Row numbers and term lines are encoded and written this many at a
-# time, and the term lines read back in blocks of `_BLOCK` bytes, so
-# that neither holds a copy of the whole file beside the corpus; a larger
-# chunk raises the peak memory of a run that builds and stores the corpus.
+# Term lines are encoded and written this many at a time, and read back
+# in blocks of `_BLOCK` bytes, so that neither holds a copy of the whole
+# file beside the corpus; a larger chunk raises the peak memory of a run
+# that builds and stores the corpus.
 _TERMS_PER_WRITE = 256
 
 
@@ -131,30 +123,26 @@ def load_index(manifest: CorpusManifest) -> GradedCorpus | None:
             if stored != _key((grade, *_digest(path)) for grade, path in manifest.entries):
                 return None
             return _parse(fh)
-    except (OSError, ValueError, LookupError, struct.error, EmptyClassError):
+    except (OSError, ValueError, EmptyClassError):
         return None
 
 
 def _parse(fh: io.BufferedReader) -> GradedCorpus:
     """The corpus in the sections of an index file after its key.
 
-    Raises ValueError unless the header is three numbers whose sections
+    Raises ValueError unless the header is two numbers whose row lines
     fit in the file, each row is six runs of ASCII digits with df4 from
     1 to 4 equal to the number of nonzero counts, no two rows are equal,
-    so that terms with equal rows share one tuple, the term lines are as
-    many distinct nonempty terms as there are row numbers, each row is
-    named by exactly k of them, so k is at least 1 and the term count is
-    the sum of k, and the CRC matches. Raises KeyError for a width not 1,
-    2, 4 or 8, IndexError for a row number past the rows, struct.error
-    for a term line past the row numbers, and EmptyClassError if a grade
-    has no terms."""
+    so that terms with equal rows share one tuple, every k is at least 1
+    and the k sum to the term count, the term lines are that many
+    distinct nonempty terms, and the CRC matches. Raises EmptyClassError
+    if a grade has no terms."""
     head = fh.readline()
-    row_bytes, count, width = map(int, head.split())
-    code = _CODES[width]
+    row_bytes, count = map(int, head.split())
     # a size too large for the file is refused before a block that large is
-    # allocated to read it; a negative one, by the read
-    if fh.tell() + row_bytes + count * width > os.fstat(fh.fileno()).st_size:
-        raise ValueError("index sections run past its end")
+    # allocated to read it; a negative one reads the term lines as rows
+    if fh.tell() + row_bytes > os.fstat(fh.fileno()).st_size:
+        raise ValueError("index rows run past its end")
     section = fh.read(row_bytes)
     df4s, *counts, ks = _columns(section)
     rows = list(zip(df4s, *counts))
@@ -165,17 +153,16 @@ def _parse(fh: io.BufferedReader) -> GradedCorpus:
     ks_by_row = dict(zip(rows, ks))
     if len(ks_by_row) != len(rows):
         raise ValueError("index row duplicated")
-    packed = fh.read(count * width)
-    crc = zlib.crc32(packed, zlib.crc32(section, zlib.crc32(head)))
+    if min(ks) < 1 or sum(ks) != count:
+        raise ValueError("index rows do not hold the term count, k at least 1 each")
+    crc = zlib.crc32(section, zlib.crc32(head))
+    # the row of each term line in turn: each row, k times
+    row_of = chain.from_iterable(map(repeat, rows, ks))
     terms: dict[str, tuple[int, ...]] = {}
-    named: dict[int, int] = {}
-    # The term lines are read, decoded and split a piece at a time, and
-    # the row numbers of a piece's terms unpacked with them, so that no
-    # copy of the whole file is held. A piece ends at a line end, and the
-    # last line read is held back until the next piece, so that the CRC
-    # line, the file's last, is never taken for a term line. A row number
-    # past the rows raises IndexError, a term line past the row numbers
-    # struct.error.
+    # The term lines are read, decoded and split a piece at a time, so
+    # that no copy of the whole file is held. A piece ends at a line end,
+    # and the last line read is held back until the next piece, so that
+    # the CRC line, the file's last, is never taken for a term line.
     held, read = b"", 0
     while block := fh.read(_BLOCK):
         held += block
@@ -184,18 +171,12 @@ def _parse(fh: io.BufferedReader) -> GradedCorpus:
         crc = zlib.crc32(piece, crc)
         names = piece.decode("utf-8").split("\n")
         names.pop()  # the empty string after the piece's last line end
-        numbers = struct.unpack_from(f"<{len(names)}{code}", packed, read * width)
-        _count_elements(named, numbers)
-        terms.update(zip(names, map(rows.__getitem__, numbers)))
+        terms.update(zip(names, row_of))
         read += len(names)
     if held != b"%08x\n" % crc:
         raise ValueError("index CRC mismatch")
-    # a term line short leaves a row number without a term
-    if len(terms) != count or "" in terms:
-        raise ValueError("index terms are not distinct nonempty lines, one per row number")
-    # named exactly k times each: no k is 0, and the k sum to the term count
-    if named != dict(enumerate(ks)):
-        raise ValueError("index rows are not named k times each")
+    if read != count or len(terms) != count or "" in terms:
+        raise ValueError("index terms are not distinct nonempty lines, one per term of the rows")
     return _indexed(terms, ks_by_row)
 
 
@@ -249,16 +230,12 @@ def build_and_store(manifest: CorpusManifest) -> GradedCorpus:
 
 def _body(corpus: GradedCorpus) -> Iterator[bytes]:
     """The index file's sections after its key, without the CRC, in chunks."""
-    ks = corpus.rows
-    # sorted by k, largest first; a stable sort keeps ties in first-seen order
-    ranked = sorted(ks, key=ks.__getitem__, reverse=True)
-    rows = "".join(f"{' '.join(map(str, row))} {ks[row]}\n" for row in ranked).encode()
-    width = min(w for w in _CODES if len(ranked) <= 1 << 8 * w)
-    yield b"%d %d %d\n" % (len(rows), len(corpus.terms), width) + rows
-    numbers = dict(zip(ranked, range(len(ranked))))
-    values = iter(corpus.terms.values())
-    while chunk := list(map(numbers.__getitem__, islice(values, _TERMS_PER_WRITE))):
-        yield struct.pack(f"<{len(chunk)}{_CODES[width]}", *chunk)
-    terms = iter(corpus.terms)
+    rows = "".join(f"{' '.join(map(str, row))} {k}\n" for row, k in corpus.rows.items()).encode()
+    yield b"%d %d\n" % (len(rows), len(corpus.terms)) + rows
+    # each row's terms in `terms` order, the rows in `rows` order
+    grouped: dict[tuple[int, ...], list[str]] = {row: [] for row in corpus.rows}
+    for term, row in corpus.terms.items():
+        grouped[row].append(term)
+    terms = chain.from_iterable(grouped.values())
     while chunk := list(islice(terms, _TERMS_PER_WRITE)):
         yield "".join(f"{term}\n" for term in chunk).encode("utf-8")

@@ -44,3 +44,15 @@ def random_case(rng):
         query_pool += ["qxa", "qxb"]
     query = [rng.choice(query_pool) for _ in range(rng.randint(1, 20))]
     return classes, query
+
+
+def assert_loaded_as_built(loaded, built):
+    """`loaded`, a corpus read from its stored index, holds what `built`
+    holds, and its terms go in the stored order: `built`'s terms grouped
+    by row, stably, the rows in `built.rows` order."""
+    rank = dict(zip(built.rows, range(len(built.rows))))
+    assert list(loaded.terms) == sorted(built.terms, key=lambda term: rank[built.terms[term]])
+    assert loaded.terms == built.terms
+    assert list(loaded.rows.items()) == list(built.rows.items())
+    assert loaded.stats == built.stats
+    assert loaded.squares4 == built.squares4

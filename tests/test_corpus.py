@@ -37,6 +37,7 @@ from textgrade.tokenizer import TokenSequence, count_terms
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import gen  # noqa: E402
+from conftest import assert_loaded_as_built  # noqa: E402
 
 
 def write_corpus(tmp_path, texts_by_grade):
@@ -733,11 +734,24 @@ class TestBuildMemory:
         assert Path(index_path(manifest)).exists() and opened.stats.overall_unique > 30_000
         assert peak < 1.3 * kept, f"peak {peak / kept:.2f} times what the build keeps"
 
+    def test_the_stored_index_is_utf8_lines(self, manifest):
+        # more than 128 distinct rows, whose row numbers format 2 packed
+        # two bytes wide, some of them 0x0A or not UTF-8
+        corpus = build_and_store(manifest)
+        assert len(corpus.rows) > 128
+        lines = Path(index_path(manifest)).read_bytes().decode("utf-8").split("\n")
+        assert lines.pop() == ""
+        assert len(lines) == 2 + len(corpus.rows) + len(corpus.terms) + 1
+
+    def test_the_stored_index_loads_as_built(self, manifest):
+        built = build_and_store(manifest)
+        assert_loaded_as_built(load_index(manifest), built)
+
     def test_load_peak_stays_near_what_the_corpus_keeps(self, manifest):
-        # the packed row numbers are read whole and unpacked with the term
-        # lines they go with, 16 KiB of lines at a time: 1.17 times what
-        # the loaded corpus keeps, 1.21 times with every row number
-        # unpacked at once, 1.23 times for the text format before
+        # the row lines are read whole and the term lines 16 KiB at a
+        # time, each paired with its row as read: 1.12 times what the
+        # loaded corpus keeps, 1.18 times with format 2's packed row
+        # numbers, 1.23 times for format 1
         build_and_store(manifest)
         loaded, kept, peak = self.traced(load_index, manifest)
         assert loaded.stats.overall_unique > 30_000
